@@ -61,11 +61,9 @@ from .simulate import (
 )
 from .translation_solver import (
     BaseViewPair,
-    RowBlock,
     TranslationSolution,
     TranslationSystem,
     assemble_system,
-    build_row_blocks,
     disambiguate_sign,
     select_base_views,
     singular_spectrum,

@@ -29,9 +29,6 @@ class DirectionSolution:
     spectrum: np.ndarray  # 3 smallest, ascending
     singular_gap: float
 
-    def __iter__(self):  # unpacks like (translations, spectrum)
-        return iter((self.translations, self.spectrum))
-
 
 @dataclass(frozen=True)
 class RelativeDirection:

@@ -7,8 +7,8 @@ file against the problem, and ``baseline`` runs the direction-based
 least-squares solver for comparison.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure
-(e.g. RankDeficient, InsufficientParallax); the error name is printed on
-stderr.
+(e.g. RankDeficient, InsufficientParallax, or a linear-algebra routine
+that did not converge); the error name is printed on stderr.
 """
 
 import argparse
@@ -109,6 +109,15 @@ def _default_out(path, suffix):
     return str(Path(path).with_suffix(suffix))
 
 
+def _read_poses_for(problem, path):
+    poses = problem_io.read_poses(path)
+    if len(poses) != problem.n_views:
+        raise InputError(
+            f"{path} holds {len(poses)} poses but the problem has {problem.n_views} views"
+        )
+    return poses
+
+
 def _cmd_simulate(args) -> int:
     config = simulate.SceneConfig(
         n_views=args.views,
@@ -156,7 +165,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_pa(args) -> int:
     problem = problem_io.read_problem(args.problem)
-    init = problem_io.read_poses(args.init)
+    init = _read_poses_for(problem, args.init)
     config = PAConfig(
         max_iter=args.max_iter,
         gradient_tol=args.gradient_tol,
@@ -180,7 +189,7 @@ def _cmd_pa(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     problem = problem_io.read_problem(args.problem)
-    poses = problem_io.read_poses(args.poses)
+    poses = _read_poses_for(problem, args.poses)
     result = reconstruct_all(
         problem.tracks, poses, theta_min=args.theta_min,
         min_track_len=args.min_track_len,
@@ -228,7 +237,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_eval(args) -> int:
     problem = problem_io.read_problem(args.problem)
-    poses = problem_io.read_poses(args.poses)
+    poses = _read_poses_for(problem, args.poses)
     report = evaluate.evaluate_poses(
         problem, poses, min_track_len=args.min_track_len, theta_min=args.theta_min
     )
@@ -255,7 +264,10 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"LinAlgError: {exc}") from exc
     except NumericalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

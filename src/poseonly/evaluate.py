@@ -6,7 +6,6 @@ the least-squares similarity mapping the estimate onto the truth and
 reports residuals after that alignment.
 """
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -17,19 +16,6 @@ from .geometry import rotation_geodesic_deg
 from .pose_adjust import reprojection_stats
 from .reconstruct import reconstruct_all
 from .translation_solver import assemble_system, spectral_gap
-
-
-def thread_cap() -> int:
-    """Parallelism cap from POSEONLY_THREADS; 0 (the default) selects the
-    deterministic single-task mode. Every code path in this package is
-    already single-task and deterministic, so values above 0 merely allow
-    future parallel evaluation without changing results."""
-    raw = os.environ.get("POSEONLY_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return max(value, 0)
 
 
 @dataclass(frozen=True)

@@ -101,15 +101,6 @@ def rotation_geodesic_deg(R_a: np.ndarray, R_b: np.ndarray) -> float:
     return float(np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0))))
 
 
-def is_rotation(R: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when R is orthonormal and proper within ``tol``."""
-    R = np.asarray(R)
-    if R.shape != (3, 3):
-        return False
-    ortho = np.linalg.norm(R.T @ R - np.eye(3))
-    return ortho < tol and abs(np.linalg.det(R) - 1.0) < tol
-
-
 def check_rotation(R: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Validate a rotation matrix; returns it as a float64 array."""
     R = np.asarray(R, dtype=float)
@@ -248,11 +239,6 @@ def relative_pose(pose_i: CameraPose, pose_j: CameraPose):
     R_ij = pose_j.rotation @ pose_i.rotation.T
     t_ij = pose_j.rotation @ (pose_i.center - pose_j.center)
     return R_ij, t_ij
-
-
-def relative_from_arrays(R_i, R_j, c_i, c_j):
-    """Array form of :func:`relative_pose` for hot paths."""
-    return R_j @ R_i.T, R_j @ (np.asarray(c_i) - np.asarray(c_j))
 
 
 def compute_pair_geometry(rel, x_i: np.ndarray, x_j: np.ndarray) -> PairGeometry:

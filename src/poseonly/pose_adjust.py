@@ -23,8 +23,14 @@ import scipy.sparse as sp
 from scipy.spatial.transform import Rotation
 
 from .errors import DegenerateBase, DivergedNumerically
-from .geometry import THETA_FLOOR, CameraPose, homogenize, skew, skew_batch
-from .translation_solver import select_base_views
+from .geometry import THETA_FLOOR, CameraPose
+from .observations import (
+    anchored_terms,
+    build_table,
+    flatten_tracks,
+    pose_arrays,
+    select_bases,
+)
 
 
 @dataclass(frozen=True)
@@ -48,32 +54,6 @@ class OptimizeReport:
     converged: bool
     termination: str  # gradient | step | max_iter
     dropped_tracks: int = 0
-
-
-@dataclass(frozen=True)
-class ResidualLayout:
-    """Slot bookkeeping: one 2-vector residual per (track, view != anchor
-    left) pair, tracks ordered by id, views in track order."""
-
-    track_ids: tuple
-    slot_offsets: tuple  # per track, first slot index
-    n_slots: int
-
-    @property
-    def n_residuals(self) -> int:
-        return 2 * self.n_slots
-
-
-def build_layout(tracks, bases) -> ResidualLayout:
-    ids, offsets = [], []
-    cursor = 0
-    for track in sorted(tracks, key=lambda t: t.track_id):
-        if track.track_id not in bases:
-            continue
-        ids.append(track.track_id)
-        offsets.append(cursor)
-        cursor += len(track) - 1
-    return ResidualLayout(tuple(ids), tuple(offsets), cursor)
 
 
 class PoseParameterization:
@@ -126,22 +106,18 @@ class PoseParameterization:
         """New pose arrays after the increment; inputs are untouched."""
         Rs_new = Rs.copy()
         Cs_new = Cs.copy()
-        if self.refine_rotations:
-            views = [v for v in range(self.n_views) if self.rot_col[v] >= 0]
-            if views:
-                phis = np.stack([delta[self.rot_col[v]:self.rot_col[v] + 3] for v in views])
-                mats = Rotation.from_rotvec(phis).as_matrix()
-                Rs_new[views] = np.einsum("kij,kjl->kil", Rs[views], mats)
-        for v in range(self.n_views):
+        views = np.flatnonzero(self.rot_col >= 0)
+        if len(views):
+            phis = delta[self.rot_col[views, None] + np.arange(3)]
+            mats = Rotation.from_rotvec(phis).as_matrix()
+            Rs_new[views] = np.einsum("kij,kjl->kil", Rs[views], mats)
+        free = np.flatnonzero(self.trans_width == 3)
+        Cs_new[free] = Cs[free] + delta[self.trans_col[free, None] + np.arange(3)]
+        v = self.anchor_view
+        if v is not None and self.trans_col[v] >= 0:
             col = self.trans_col[v]
-            if col < 0:
-                continue
-            if v == self.anchor_view:
-                E = self.anchor_basis(Cs[v])
-                moved = Cs[v] + E @ delta[col:col + 2]
-                Cs_new[v] = self.anchor_radius * moved / np.linalg.norm(moved)
-            else:
-                Cs_new[v] = Cs[v] + delta[col:col + 3]
+            moved = Cs[v] + self.anchor_basis(Cs[v]) @ delta[col:col + 2]
+            Cs_new[v] = self.anchor_radius * moved / np.linalg.norm(moved)
         return Rs_new, Cs_new
 
 
@@ -149,10 +125,10 @@ def select_anchor_view(tracks, n_views, reference_view, centers) -> int | None:
     """Scale anchor: the view sharing the most tracks with the reference
     (ties to the smallest id), skipping views whose center norm is too
     small to carry a scale constraint."""
-    counts = np.zeros(n_views, dtype=int)
-    for track in tracks:
-        if reference_view in track.view_ids:
-            counts[track.view_ids] += 1
+    owner, views, _ = flatten_tracks(tracks)
+    sees_reference = np.zeros(len(tracks), dtype=bool)
+    sees_reference[owner[views == reference_view]] = True
+    counts = np.bincount(views[sees_reference[owner]], minlength=n_views)
     order = sorted(
         (v for v in range(n_views) if v != reference_view),
         key=lambda v: (-counts[v], v),
@@ -167,72 +143,28 @@ def select_anchor_view(tracks, n_views, reference_view, centers) -> int | None:
     return None
 
 
-@dataclass
-class _TrackData:
-    track_id: int
-    left: int
-    right: int
-    x_left: np.ndarray
-    x_right: np.ndarray
-    views: np.ndarray  # observed views != left
-    obs: np.ndarray  # (L, 2)
-    slot: int  # first slot index
+def _floor_sq(theta_min: float) -> float:
+    return max(theta_min, THETA_FLOOR) ** 2
 
 
-def _prepare(tracks, bases, layout):
-    by_id = {t.track_id: t for t in tracks}
-    data = []
-    for tid, slot in zip(layout.track_ids, layout.slot_offsets):
-        track = by_id[tid]
-        base = bases[tid]
-        mask = track.view_ids != base.left
-        data.append(
-            _TrackData(
-                track_id=tid,
-                left=base.left,
-                right=base.right,
-                x_left=track.point_in_view(base.left),
-                x_right=track.point_in_view(base.right),
-                views=track.view_ids[mask],
-                obs=track.points[mask],
-                slot=slot,
-            )
+def _residuals(table, Rs, Cs, floor_sq, on_degenerate):
+    """One 2-vector per table row (tracks by id, views in track order,
+    anchor-left view skipped); rows of tracks whose anchor theta^2
+    collapsed to ``floor_sq`` are zero."""
+    terms = anchored_terms(table, Rs, Cs)
+    degenerate = terms.theta_sq <= floor_sq
+    if on_degenerate == "raise" and degenerate.any():
+        k = int(np.argmax(degenerate))
+        raise DegenerateBase(
+            f"track {table.track_ids[k]}: anchor pair theta^2 "
+            f"{terms.theta_sq[k]!r} collapsed below the floor"
         )
-    return data
-
-
-def _anchor_terms(td: _TrackData, Rs, Cs):
-    g_left = Rs[td.left].T @ homogenize(td.x_left)
-    u = Rs[td.right] @ g_left
-    v = homogenize(td.x_right)
-    w = np.cross(u, v)
-    theta_sq = float(w @ w)
-    a = v * float(u @ v) - u * float(v @ v)
-    s_vec = Rs[td.right] @ (Cs[td.left] - Cs[td.right])
-    return g_left, u, v, theta_sq, a, s_vec
-
-
-def _residuals_arrays(data, Rs, Cs, n_slots, theta_min, on_degenerate):
-    floor_sq = max(theta_min, THETA_FLOOR) ** 2
-    res = np.zeros((n_slots, 2))
-    dropped = []
-    for td in data:
-        g_left, _, _, theta_sq, a, s_vec = _anchor_terms(td, Rs, Cs)
-        if theta_sq <= floor_sq:
-            if on_degenerate == "raise":
-                raise DegenerateBase(
-                    f"track {td.track_id}: anchor pair theta^2 {theta_sq!r} "
-                    f"collapsed below the floor"
-                )
-            dropped.append(td.track_id)
-            continue
-        d = float(a @ s_vec) / theta_sq
-        U = np.einsum("kij,j->ki", Rs[td.views], g_left)
-        T = np.einsum("kij,kj->ki", Rs[td.views], Cs[td.left] - Cs[td.views])
-        Y = d * U + T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res[td.slot:td.slot + len(td.views)] = Y[:, :2] / Y[:, 2:3] - td.obs
-    return res.reshape(-1), dropped
+    row_track = table.row_track
+    Y = terms.depth[row_track, None] * terms.U + terms.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = Y[:, :2] / Y[:, 2:3] - table.obs_xy[table.rows]
+    res[degenerate[row_track]] = 0.0
+    return res.reshape(-1), table.track_ids[degenerate].tolist()
 
 
 def pa_residuals(poses, tracks, bases, theta_min: float = 0.0,
@@ -245,125 +177,116 @@ def pa_residuals(poses, tracks, bases, theta_min: float = 0.0,
     contribution) as the optimizer does; returns (residuals,
     dropped_track_ids).
     """
-    Rs = np.stack([p.rotation for p in poses])
-    Cs = np.stack([p.center for p in poses])
-    layout = build_layout(tracks, bases)
-    data = _prepare(tracks, bases, layout)
-    return _residuals_arrays(data, Rs, Cs, layout.n_slots, theta_min, on_degenerate)
+    Rs, Cs = pose_arrays(poses)
+    table = build_table(tracks, bases)
+    return _residuals(table, Rs, Cs, _floor_sq(theta_min), on_degenerate)
 
 
-def _jacobian_arrays(data, Rs, Cs, layout, param: PoseParameterization, theta_min):
-    floor_sq = max(theta_min, THETA_FLOOR) ** 2
-    rows_parts, cols_parts, vals_parts = [], [], []
+@dataclass(frozen=True)
+class _JacobianPattern:
+    """Fixed CSR structure of the Jacobian for one table and one
+    parameterization.
 
-    def emit(slots, col_start, block):
-        # block: (L, 2, width); col_start scalar or per-row array
-        L, _, width = block.shape
-        col_start = np.broadcast_to(np.asarray(col_start), (L,))
-        keep = col_start >= 0
-        if not keep.any():
-            return
-        block = block[keep]
-        slots_k = slots[keep]
-        cs = col_start[keep]
-        rr = (2 * slots_k)[:, None, None] + np.arange(2)[None, :, None]
-        cc = cs[:, None, None] + np.arange(width)[None, None, :]
-        rows_parts.append(np.broadcast_to(rr, block.shape).reshape(-1))
-        cols_parts.append(np.broadcast_to(cc, block.shape).reshape(-1))
-        vals_parts.append(block.reshape(-1))
+    Every row touches three view groups: anchor left, anchor right and
+    the observing view, each with 3 rotation then 3 translation columns.
+    Values are computed into a dense (rows, 2, 3, 6) array; ``take``
+    gathers the structurally present ones in CSR order. Columns within
+    a residual follow ascending view order, and an observing view equal
+    to the anchor right is merged into the anchor-right group, so the
+    matrix is canonical (sorted, no duplicates).
+    """
 
-    def trans_block(slots, view_cols, views, block):
-        # Contract anchor columns through the tangent basis.
-        if param.anchor_view is not None:
-            is_anchor = views == param.anchor_view
-            if np.any(is_anchor):
-                E = param.anchor_basis(Cs[param.anchor_view])
-                emit(
-                    slots[is_anchor],
-                    view_cols[is_anchor],
-                    np.einsum("kab,bc->kac", block[is_anchor], E),
-                )
-                emit(slots[~is_anchor], view_cols[~is_anchor], block[~is_anchor])
-                return
-        emit(slots, view_cols, block)
+    views: np.ndarray  # (M, 3) view of each group
+    merged: np.ndarray  # (M,) observing view == anchor right
+    take: np.ndarray  # (nnz,) flat index into the value array
+    indices: np.ndarray  # (nnz,)
+    indptr: np.ndarray  # (2M + 1,)
+    shape: tuple
 
-    for td in data:
-        g_left, u, v, theta_sq, a, s_vec = _anchor_terms(td, Rs, Cs)
-        if theta_sq <= floor_sq:
-            continue
-        d = float(a @ s_vec) / theta_sq
-        L = len(td.views)
-        slots = td.slot + np.arange(L)
-        U = np.einsum("kij,j->ki", Rs[td.views], g_left)
-        T = np.einsum("kij,kj->ki", Rs[td.views], Cs[td.left] - Cs[td.views])
-        Y = d * U + T
 
-        z = Y[:, 2]
-        P = np.zeros((L, 2, 3))
-        inv_z = 1.0 / z
-        P[:, 0, 0] = inv_z
-        P[:, 1, 1] = inv_z
-        P[:, 0, 2] = -Y[:, 0] * inv_z * inv_z
-        P[:, 1, 2] = -Y[:, 1] * inv_z * inv_z
-
-        k_vec = (Rs[td.right].T @ a) / theta_sq
-
-        # Translation groups.
-        dY_dcl = np.einsum("ki,j->kij", U, k_vec) + Rs[td.views]
-        dY_dcr = -np.einsum("ki,j->kij", U, k_vec)
-        dY_dci = -Rs[td.views]
-        trans_block(
-            slots,
-            np.full(L, param.trans_col[td.left]),
-            np.full(L, td.left),
-            np.einsum("kab,kbc->kac", P, dY_dcl),
-        )
-        trans_block(
-            slots,
-            np.full(L, param.trans_col[td.right]),
-            np.full(L, td.right),
-            np.einsum("kab,kbc->kac", P, dY_dcr),
-        )
-        trans_block(
-            slots,
-            param.trans_col[td.views],
-            td.views,
-            np.einsum("kab,kbc->kac", P, dY_dci),
-        )
-
-        if param.refine_rotations:
-            Z = skew(g_left)
-            RZ = Rs[td.right] @ Z
-            # d(depth)/d(phi): chain through u, a, theta^2 and s.
-            M_a = np.outer(v, v) - float(v @ v) * np.eye(3)
-            q_row = s_vec @ M_a + 2.0 * d * a
-            dd_dl = (q_row @ RZ) / theta_sq
-            dd_dr = (-(q_row @ RZ) - a @ (Rs[td.right] @ skew(Cs[td.left] - Cs[td.right]))) / theta_sq
-
-            RiZ = np.einsum("kij,jl->kil", Rs[td.views], Z)
-            dY_dpl = np.einsum("ki,j->kij", U, dd_dl) + d * RiZ
-            dY_dpr = np.einsum("ki,j->kij", U, dd_dr)
-            Q = (d * g_left + Cs[td.left])[None, :] - Cs[td.views]
-            dY_dpi = -np.einsum("kij,kjl->kil", Rs[td.views], skew_batch(Q))
-
-            emit(slots, np.full(L, param.rot_col[td.left]),
-                 np.einsum("kab,kbc->kac", P, dY_dpl))
-            emit(slots, np.full(L, param.rot_col[td.right]),
-                 np.einsum("kab,kbc->kac", P, dY_dpr))
-            emit(slots, param.rot_col[td.views],
-                 np.einsum("kab,kbc->kac", P, dY_dpi))
-
-    if rows_parts:
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        vals = np.concatenate(vals_parts)
-    else:
-        rows = cols = vals = np.zeros(0)
-    mat = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(layout.n_residuals, param.n_params)
+def _jacobian_pattern(table, param: PoseParameterization) -> _JacobianPattern:
+    row_track = table.row_track
+    views = np.stack((table.left[row_track], table.right[row_track], table.row_view), axis=1)
+    merged = views[:, 2] == views[:, 1]
+    local = np.arange(6)
+    is_rot = local < 3
+    rot_col = param.rot_col[views][..., None]
+    trans_col = param.trans_col[views][..., None]
+    cols = np.where(is_rot, rot_col + local, trans_col + local - 3)  # (M, 3, 6)
+    present = np.where(is_rot, rot_col >= 0, local - 3 < param.trans_width[views][..., None])
+    present[merged, 2] = False
+    order = np.argsort(views, axis=1, kind="stable")[..., None]
+    cols = np.take_along_axis(cols, order, axis=1)[:, None]
+    present = np.take_along_axis(present, order, axis=1)[:, None]
+    m = len(views)
+    residual = 2 * np.arange(m)[:, None, None, None] + np.arange(2)[None, :, None, None]
+    flat = (residual * 3 + order[:, None]) * 6 + local  # (M, 2, 3, 6)
+    mask = np.broadcast_to(present, flat.shape)
+    indptr = np.zeros(2 * m + 1, dtype=np.int64)
+    np.cumsum(np.repeat(present.sum(axis=(1, 2, 3)), 2), out=indptr[1:])
+    return _JacobianPattern(
+        views=views,
+        merged=merged,
+        take=flat[mask],
+        indices=np.broadcast_to(cols, flat.shape)[mask].astype(np.int32),
+        indptr=indptr,
+        shape=(2 * m, param.n_params),
     )
-    mat.sum_duplicates()
-    return mat.tocsr()
+
+
+def _jacobian(table, pattern, Rs, Cs, param, floor_sq) -> sp.csr_matrix:
+    """Analytic Jacobian values at (Rs, Cs), filled into ``pattern``.
+
+    With Y = depth U + T the feature in the observing view's frame and
+    P the Jacobian of the projection Y -> Y[:2] / Y[2], the translation
+    blocks are P(U k' + R_i), -P U k' and -P R_i (k = R_right' a /
+    theta^2); the rotation blocks chain the depth through u, a, theta^2
+    and T_right.
+    """
+    terms = anchored_terms(table, Rs, Cs)
+    valid = terms.theta_sq > floor_sq
+    inv_sq = np.divide(1.0, terms.theta_sq, out=np.zeros_like(terms.theta_sq), where=valid)
+    row_track = table.row_track
+    depth = terms.depth[row_track]
+    Y = depth[:, None] * terms.U + terms.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = Y[:, 2:3]
+        proj = Y[:, :2] / z
+        # P @ v = (v[:2] - proj * v[2]) / z
+        PU = (terms.U[:, :2] - proj * terms.U[:, 2:3]) / z
+        PR = (terms.R[:, :2] - proj[:, :, None] * terms.R[:, 2:3]) / z[:, :, None]
+
+    a_world = np.einsum("tji,tj->ti", Rs[table.right], terms.a)
+    PUk = PU[:, :, None] * (a_world * inv_sq[:, None])[row_track][:, None, :]
+    values = np.zeros((len(row_track), 2, 3, 6))
+    values[:, :, 0, 3:] = PUk + PR
+    values[:, :, 1, 3:] = -PUk
+    values[:, :, 2, 3:] = -PR
+    if param.refine_rotations:
+        g = terms.g
+        v, s = terms.X[table.right_row], terms.T[table.right_row]
+        q = (v * np.einsum("ti,ti->t", v, s)[:, None] - s * np.einsum("ti,ti->t", v, v)[:, None]
+             + 2.0 * terms.depth[:, None] * terms.a)
+        q_world = np.einsum("tji,tj->ti", Rs[table.right], q)
+        dd_left = np.cross(q_world, g) * inv_sq[:, None]
+        dd_right = -dd_left - np.cross(a_world, Cs[table.left] - Cs[table.right]) * inv_sq[:, None]
+        g_rows = g[row_track]
+        Q = depth[:, None] * g_rows + Cs[table.left][row_track] - Cs[table.row_view]
+        values[:, :, 0, :3] = (PU[:, :, None] * dd_left[row_track][:, None, :]
+                               + depth[:, None, None] * np.cross(PR, g_rows[:, None, :]))
+        values[:, :, 1, :3] = PU[:, :, None] * dd_right[row_track][:, None, :]
+        values[:, :, 2, :3] = -np.cross(PR, Q[:, None, :])
+
+    values[pattern.merged, :, 1] += values[pattern.merged, :, 2]
+    if param.anchor_view is not None:
+        # The scale anchor moves on its sphere: contract its translation
+        # columns through the tangent basis.
+        rows, groups = np.nonzero(pattern.views == param.anchor_view)
+        E = param.anchor_basis(Cs[param.anchor_view])
+        values[rows, :, groups, 3:5] = values[rows, :, groups, 3:] @ E
+    values[~valid[row_track]] = 0.0
+    data = values.reshape(-1)[pattern.take]
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization,
@@ -373,11 +296,10 @@ def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization,
     Each residual slot touches at most the anchor-left, anchor-right and
     observing views; all other columns are structurally zero.
     """
-    Rs = np.stack([p.rotation for p in poses])
-    Cs = np.stack([p.center for p in poses])
-    layout = build_layout(tracks, bases)
-    data = _prepare(tracks, bases, layout)
-    return _jacobian_arrays(data, Rs, Cs, layout, parameterization, theta_min)
+    Rs, Cs = pose_arrays(poses)
+    table = build_table(tracks, bases)
+    pattern = _jacobian_pattern(table, parameterization)
+    return _jacobian(table, pattern, Rs, Cs, parameterization, _floor_sq(theta_min))
 
 
 def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
@@ -392,20 +314,15 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     state raises DivergedNumerically instead of being clamped.
     """
     config = config or PAConfig()
-    Rs = np.stack([p.rotation for p in initial_poses])
-    Cs = np.stack([p.center for p in initial_poses])
+    Rs, Cs = pose_arrays(initial_poses)
     n_views = len(initial_poses)
+    floor_sq = _floor_sq(config.theta_min)
 
     excluded = 0
     if bases is None:
-        bases = {}
-        for track in tracks:
-            try:
-                bases[track.track_id] = select_base_views(track, Rs, config.theta_min)
-            except Exception:
-                excluded += 1
-    layout = build_layout(tracks, bases)
-    data = _prepare(tracks, bases, layout)
+        bases, degenerate = select_bases(tracks, Rs, config.theta_min)
+        excluded = len(degenerate)
+    table = build_table(tracks, bases)
 
     if anchor_view is None:
         used = [t for t in tracks if t.track_id in bases]
@@ -414,10 +331,9 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     param = PoseParameterization(
         n_views, reference_view, anchor_view, config.refine_rotations, radius
     )
+    pattern = _jacobian_pattern(table, param)
 
-    res, dropped = _residuals_arrays(
-        data, Rs, Cs, layout.n_slots, config.theta_min, "drop"
-    )
+    res, dropped = _residuals(table, Rs, Cs, floor_sq, "drop")
     cost = float(res @ res)
     if not np.isfinite(cost):
         raise DivergedNumerically(f"initial cost is {cost!r}")
@@ -427,7 +343,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     iterations = 0
 
     while iterations < config.max_iter:
-        J = _jacobian_arrays(data, Rs, Cs, layout, param, config.theta_min)
+        J = _jacobian(table, pattern, Rs, Cs, param, floor_sq)
         grad = J.T @ res
         if np.max(np.abs(grad), initial=0.0) <= config.gradient_tol:
             termination = "gradient"
@@ -446,9 +362,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
                 lam *= config.lm_up
                 continue
             Rs_try, Cs_try = param.apply(Rs, Cs, delta)
-            res_try, dropped_try = _residuals_arrays(
-                data, Rs_try, Cs_try, layout.n_slots, config.theta_min, "drop"
-            )
+            res_try, dropped_try = _residuals(table, Rs_try, Cs_try, floor_sq, "drop")
             cost_try = float(res_try @ res_try)
             if np.isfinite(cost_try) and cost_try < cost:
                 accepted = True
@@ -489,21 +403,13 @@ def reprojection_stats(poses, points_w, tracks):
     Returns (rms, violations, observations_used). The RMS is the root
     mean square over observations of the residual 2-vector norm.
     """
-    Rs = np.stack([p.rotation for p in poses])
-    Cs = np.stack([p.center for p in poses])
-    views, obs, pts = [], [], []
-    for track in tracks:
-        key = track.track_id
-        if key not in points_w:
-            continue
-        views.append(track.view_ids)
-        obs.append(track.points)
-        pts.append(np.broadcast_to(np.asarray(points_w[key], dtype=float), (len(track), 3)))
-    if not views:
+    Rs, Cs = pose_arrays(poses)
+    scored = [t for t in tracks if t.track_id in points_w]
+    if not scored:
         return 0.0, 0, 0
-    V = np.concatenate(views)
-    O = np.concatenate(obs)
-    P = np.concatenate(pts)
+    owner, V, O = flatten_tracks(scored)
+    points = np.stack([np.asarray(points_w[t.track_id], dtype=float) for t in scored])
+    P = points[owner]
     cam = np.einsum("nij,nj->ni", Rs[V], P - Cs[V])
     z = cam[:, 2]
     ok = z > 0

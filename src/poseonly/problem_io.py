@@ -98,9 +98,21 @@ def _fmt(value: float) -> str:
 def _parse_quat(tokens, line_no):
     q = np.array([float(t) for t in tokens])
     norm = np.linalg.norm(q)
-    if abs(norm - 1.0) > _QUAT_NORM_TOL:
+    if not abs(norm - 1.0) <= _QUAT_NORM_TOL:  # also rejects nan and inf
         raise ParseError(f"quaternion norm {norm!r} is not 1", line=line_no)
     return q / norm
+
+
+def _require_finite(arrays, raw) -> None:
+    """Reject non-finite numbers; the parsed arrays are checked at once
+    and the lines are rescanned only to name the first offending one.
+    Every line past the header has already parsed, so each field after
+    its tag is a number."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    for idx in range(2, len(raw)):
+        if not all(math.isfinite(float(t)) for t in raw[idx].split()[1:]):
+            raise ParseError("non-finite numeric field", line=idx + 1)
 
 
 def write_problem(path, problem: SceneProblem) -> None:
@@ -234,6 +246,9 @@ def read_problem(path) -> SceneProblem:
         views = np.array([r[0] for r in rows])
         pts = np.array([[r[1], r[2]] for r in rows])
         tracks.append(Track(track_id, views, pts))
+    _require_finite(
+        [t.points for t in tracks] + [c for c in gt_centers if c is not None], raw
+    )
 
     has_gt = [c is not None for c in gt_centers]
     gt_poses = None
@@ -297,6 +312,7 @@ def read_poses(path) -> list:
     for view, pose in enumerate(poses):
         if pose is None:
             raise ParseError(f"missing P line for view {view}")
+    _require_finite([p.center for p in poses], raw)
     return poses
 
 

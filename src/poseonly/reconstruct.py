@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import AllPairsDegenerate, DegenerateTriangulation, NegativeDepth
 from .geometry import THETA_FLOOR, Track, cross_rows, homogenize, skew
-from .translation_solver import BaseViewPair, select_base_views
+from .observations import (
+    BaseViewPair,
+    anchored_terms,
+    build_table,
+    pose_arrays,
+    select_bases,
+)
 
 _REASON_SHORT = "below_min_track_len"
 _REASON_DEGENERATE = "all_pairs_degenerate"
@@ -50,56 +56,38 @@ class ReconstructionResult:
         return {p.track_id: p.position_w for p in self.points}
 
 
-def _pose_arrays(poses):
-    R = np.stack([p.rotation for p in poses])
-    C = np.stack([p.center for p in poses])
-    return R, C
+def _fuse(table, R, C, floor):
+    """Fused anchor-left depth, theta weight sum, contributing pair count
+    and world position of every table track.
 
-
-def _anchored_depths(track: Track, base: BaseViewPair, R, C, floor):
-    """Signed anchor-left depths and thetas of every pair (left, i)."""
-    left = base.left
-    x_left = track.point_in_view(left)
-    g_left = R[left].T @ homogenize(x_left)
-    mask = track.view_ids != left
-    views = track.view_ids[mask]
-    X = homogenize(track.points[mask])
-    R_views = R[views]
-    U = R_views @ g_left  # rotated anchor ray per pair
-    T = (R_views @ (C[left] - C[views])[:, :, None])[:, :, 0]
-    thetas = np.linalg.norm(cross_rows(X, U), axis=1)
-    uv = np.einsum("ki,ki->k", U, X)
-    a = X * uv[:, None] - U * np.einsum("ki,ki->k", X, X)[:, None]
+    Pair (left, i) has theta_i = |X_i x U_i| and signed depth
+    a_i . T_i / theta_i^2 with a_i = X_i x (X_i x U_i); the theta-weighted
+    mean over pairs above ``floor`` is a segment sum over each track's rows.
+    """
+    terms = anchored_terms(table, R, C)
+    thetas = np.linalg.norm(terms.W, axis=1)
     usable = thetas > floor
-    depths = np.zeros(len(views))
-    th_sq = thetas[usable] ** 2
-    depths[usable] = np.einsum("ki,ki->k", a[usable], T[usable]) / th_sq
-    return depths, thetas, usable
+    weights = np.where(usable, thetas, 0.0)
+    a = cross_rows(terms.X, terms.W)
+    weighted = np.einsum("ki,ki->k", a, terms.T) / np.where(usable, thetas, 1.0)
+    starts = table.row_start[:-1]
+    weight_sum = np.add.reduceat(weights, starts)
+    total = np.add.reduceat(np.where(usable, weighted, 0.0), starts)
+    fused = np.divide(total, weight_sum, out=np.zeros_like(total), where=weight_sum > 0)
+    contributing = np.add.reduceat(usable.astype(int), starts)
+    positions = fused[:, None] * terms.g + C[table.left]
+    return fused, weight_sum, contributing, positions
 
 
-def _fused_depth(track, base, R, C, floor):
-    depths, thetas, usable = _anchored_depths(track, base, R, C, floor)
-    weight_sum = float(thetas[usable].sum())
-    if not usable.any() or weight_sum <= floor:
+def _reconstruct_one(track: Track, base: BaseViewPair, poses, theta_min) -> ReconstructedPoint:
+    floor = max(theta_min, THETA_FLOOR)
+    R, C = pose_arrays(poses)
+    table = build_table([track], {track.track_id: base})
+    (fused,), (weight_sum,), (contributing,), (position,) = _fuse(table, R, C, floor)
+    if weight_sum <= floor:
         raise AllPairsDegenerate(f"track {track.track_id}: no pair carries parallax")
-    fused = float((thetas[usable] / weight_sum) @ depths[usable])
-    return fused, weight_sum, int(usable.sum())
-
-
-def _reconstruct_with_arrays(track, base, R, C, floor) -> ReconstructedPoint:
-    fused, weight_sum, contributing = _fused_depth(track, base, R, C, floor)
-    if fused <= 0:
-        raise NegativeDepth(
-            f"track {track.track_id}: fused depth {fused!r} is not positive"
-        )
-    left = base.left
-    ray_w = R[left].T @ homogenize(track.point_in_view(left))
     return ReconstructedPoint(
-        track_id=track.track_id,
-        position_w=fused * ray_w + C[left],
-        fused_depth=fused,
-        weight_sum=weight_sum,
-        contributing_views=contributing,
+        track.track_id, position, float(fused), float(weight_sum), int(contributing)
     )
 
 
@@ -109,17 +97,20 @@ def weighted_depth(track: Track, base: BaseViewPair, poses, theta_min: float = 0
     Weights are theta / sum(theta) over usable pairs, so they sum to one
     and pairs nearing pure rotation fade out smoothly.
     """
-    R, C = _pose_arrays(poses)
-    fused, weight_sum, _ = _fused_depth(track, base, R, C, max(theta_min, THETA_FLOOR))
-    return fused, weight_sum
+    point = _reconstruct_one(track, base, poses, theta_min)
+    return point.fused_depth, point.weight_sum
 
 
 def reconstruct_point(
     track: Track, base: BaseViewPair, poses, theta_min: float = 0.0
 ) -> ReconstructedPoint:
     """Push the fused depth back along the anchor-left ray into the world."""
-    R, C = _pose_arrays(poses)
-    return _reconstruct_with_arrays(track, base, R, C, max(theta_min, THETA_FLOOR))
+    point = _reconstruct_one(track, base, poses, theta_min)
+    if point.fused_depth <= 0:
+        raise NegativeDepth(
+            f"track {track.track_id}: fused depth {point.fused_depth!r} is not positive"
+        )
+    return point
 
 
 def reconstruct_all(
@@ -136,22 +127,29 @@ def reconstruct_all(
     ``min_track_len`` to 3 drops two-view tracks, which on weak data
     removes the least-constrained points.
     """
-    R, C = _pose_arrays(poses)
+    R, C = pose_arrays(poses)
     floor = max(theta_min, THETA_FLOOR)
-    points, rejected = [], []
-    for track in sorted(tracks, key=lambda t: t.track_id):
-        if len(track) < min_track_len:
-            rejected.append((track.track_id, _REASON_SHORT))
-            continue
-        base = bases.get(track.track_id) if bases else None
-        try:
-            if base is None:
-                base = select_base_views(track, R, theta_min)
-            points.append(_reconstruct_with_arrays(track, base, R, C, floor))
-        except AllPairsDegenerate:
-            rejected.append((track.track_id, _REASON_DEGENERATE))
-        except NegativeDepth:
-            rejected.append((track.track_id, _REASON_NEGATIVE))
+    long_tracks = [t for t in tracks if len(t) >= min_track_len]
+    rejected = [(t.track_id, _REASON_SHORT) for t in tracks if len(t) < min_track_len]
+    bases, degenerate = select_bases(long_tracks, R, theta_min, bases)
+    rejected += [(tid, _REASON_DEGENERATE) for tid in degenerate]
+
+    table = build_table(long_tracks, bases)
+    fused, weight_sum, contributing, positions = _fuse(table, R, C, floor)
+    flat = weight_sum <= floor
+    behind = ~flat & (fused <= 0)
+    rejected += [(tid, _REASON_DEGENERATE) for tid in table.track_ids[flat].tolist()]
+    rejected += [(tid, _REASON_NEGATIVE) for tid in table.track_ids[behind].tolist()]
+    accepted = np.flatnonzero(~(flat | behind))
+    points = [
+        ReconstructedPoint(tid, position, depth, weight, count)
+        for tid, position, depth, weight, count in zip(
+            table.track_ids[accepted].tolist(), positions[accepted],
+            fused[accepted].tolist(), weight_sum[accepted].tolist(),
+            contributing[accepted].tolist(),
+        )
+    ]
+    rejected.sort(key=lambda item: item[0])
     return ReconstructionResult(points=points, rejected=rejected)
 
 

@@ -19,13 +19,19 @@ only rotate in place.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AllPairsDegenerate, InsufficientParallax, RankDeficient
-from .geometry import THETA_FLOOR, Track, cross3, cross_rows, homogenize, skew_batch
+from .errors import InsufficientParallax, RankDeficient
+from .geometry import skew_batch
+from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-exported
+    BaseViewPair,
+    anchored_terms,
+    build_table,
+    select_base_views,
+    select_bases,
+)
 
 # Above this reduced-matrix size the dense SVD becomes a memory hazard;
 # fall back to the Gram-matrix eigenvector path.
@@ -37,34 +43,6 @@ _DENSE_MAX_ENTRIES = 40_000_000
 # near 1; healthy systems under 1e-3 observation noise measure gaps of
 # roughly 30-100, so the refusal threshold must stay below that band.
 RANK_RATIO_MIN = 10.0
-
-
-@dataclass(frozen=True)
-class BaseViewPair:
-    """A track's anchor views: the observation pair of maximal theta."""
-
-    left: int
-    right: int
-    theta: float
-
-
-@dataclass(frozen=True)
-class RowBlock:
-    """One 3-row constraint block of a track: columns touch the anchor
-    right view (B), the observing view (C), and the anchor left view (D).
-    D == -(B + C) holds exactly by construction.
-
-    When the observing ray is parallel to the rotated anchor ray, B
-    vanishes but C does not (C carries the anchor pair's theta^2, not the
-    row's own parallax); the surviving C(t_i - t_left) = 0 content is what
-    pins a camera that only rotates in place to its co-located partner.
-    """
-
-    track_id: int
-    row_view: int
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,56 +60,37 @@ class TranslationSolution:
     scale_norm: float
 
 
+@dataclass(frozen=True)
 class TranslationSystem:
     """Assembled sparse constraint system over stacked camera centers.
 
-    Blocks are stored in deterministic (track_id, row_view) order; the
-    reference view's columns are dropped from the reduced matrix, which
-    fixes the translation gauge.
+    Block k holds 3 rows touching the anchor-right view (``B[k]``), the
+    observing view (``C[k]``) and the anchor-left view (``D = -(B + C)``),
+    in (track_id, row_view) order. When the observing ray is parallel to
+    the rotated anchor ray, B vanishes but C does not (C carries the
+    anchor pair's theta^2, not the row's own parallax); the surviving
+    C (t_i - t_left) = 0 content is what pins a camera that only rotates
+    in place to its co-located partner. The reference view's columns are
+    dropped from the reduced matrix, which fixes the translation gauge.
     """
 
-    def __init__(
-        self,
-        n_views,
-        reference_view,
-        track_ids,
-        row_views,
-        lefts,
-        rights,
-        B,
-        C,
-        bases,
-        sign_probes,
-        rotations,
-        theta_min,
-    ):
-        self.n_views = int(n_views)
-        self.reference_view = int(reference_view)
-        self.track_ids = track_ids
-        self.row_views = row_views
-        self.lefts = lefts
-        self.rights = rights
-        self.B = B
-        self.C = C
-        self.bases = bases  # dict: track_id -> BaseViewPair
-        self.sign_probes = sign_probes  # list of (left, right, a_vec)
-        self.rotations = rotations
-        self.theta_min = float(theta_min)
+    n_views: int
+    reference_view: int
+    row_views: np.ndarray  # (m,) observing view of each block
+    lefts: np.ndarray  # (m,) anchor-left view of each block
+    rights: np.ndarray  # (m,) anchor-right view of each block
+    B: np.ndarray  # (m, 3, 3)
+    C: np.ndarray  # (m, 3, 3)
+    bases: dict  # track_id -> BaseViewPair of every track with rows
+    probe_views: np.ndarray  # (k, 2) anchor (left, right) of those tracks
+    probe_a: np.ndarray  # (k, 3) their anchor vectors a
+    rotations: np.ndarray
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.track_ids)
-
-    @property
-    def n_rows(self) -> int:
-        return 3 * self.n_blocks
-
-    @property
-    def n_reduced_cols(self) -> int:
-        return 3 * (self.n_views - 1)
-
-    def row_order(self):
-        return list(zip(self.track_ids.tolist(), self.row_views.tolist()))
+    def sign_probes(self):
+        """(left, right, a_vec) per track: the anchored depth has the sign
+        of ``a_vec . R_right (t_left - t_right)``."""
+        return list(zip(*self.probe_views.T.tolist(), self.probe_a))
 
     def _matrix(self, col_of_view, n_cols) -> sp.csr_matrix:
         # Direct CSR assembly: block k holds entries for the anchor-right,
@@ -139,7 +98,7 @@ class TranslationSystem:
         # the reference-view columns are masked out. Duplicate column
         # indices (observing view == anchor right) are left non-canonical;
         # downstream sparse ops sum them.
-        m = self.n_blocks
+        m = len(self.B)
         D = -(self.B + self.C)
         data = np.stack((self.B, self.C, D), axis=2)  # (k, row, block, col)
         cols = np.stack(
@@ -157,117 +116,18 @@ class TranslationSystem:
         keep_flat = keep.reshape(m, 3, 9)
         data_sel = np.broadcast_to(data, (m, 3, 3, 3)).reshape(m, 3, 9)[keep_flat]
         idx_sel = np.broadcast_to(indices, (m, 3, 3, 3)).reshape(m, 3, 9)[keep_flat]
-        return sp.csr_matrix((data_sel, idx_sel, indptr), shape=(self.n_rows, n_cols))
+        return sp.csr_matrix((data_sel, idx_sel, indptr), shape=(3 * m, n_cols))
 
     def reduced_matrix(self) -> sp.csr_matrix:
         """Constraint matrix with the reference view's columns removed."""
         col_of_view = np.full(self.n_views, -1, dtype=int)
         keep = [v for v in range(self.n_views) if v != self.reference_view]
         col_of_view[keep] = np.arange(self.n_views - 1)
-        return self._matrix(col_of_view, self.n_reduced_cols)
+        return self._matrix(col_of_view, 3 * (self.n_views - 1))
 
     def full_matrix(self) -> sp.csr_matrix:
         """Constraint matrix over all 3n center coordinates (no gauge)."""
         return self._matrix(np.arange(self.n_views), 3 * self.n_views)
-
-
-def _pair_theta_sq_table(g: np.ndarray) -> np.ndarray:
-    """theta^2 for all ray pairs via the Gram identity
-    ||g_i x g_j||^2 = |g_i|^2 |g_j|^2 - (g_i . g_j)^2.
-
-    ``g`` are the world-frame rays R_v' X_v; rotating both rays into one
-    frame leaves the cross-product norm unchanged.
-    """
-    gram = g @ g.T
-    sq = np.einsum("ki,ki->k", g, g)
-    table = np.multiply.outer(sq, sq) - gram * gram
-    return np.maximum(table, 0.0)
-
-
-@lru_cache(maxsize=128)
-def _upper_pairs(k: int):
-    iu, ju = np.triu_indices(k, 1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
-
-
-def _canonical_theta(rotations, x_left, x_right, v_left, v_right) -> float:
-    R_rel = rotations[v_right] @ rotations[v_left].T
-    u = R_rel @ homogenize(x_left)
-    v = homogenize(x_right)
-    return float(np.linalg.norm(cross3(v, u)))
-
-
-def select_base_views(track: Track, rotations: np.ndarray, theta_min: float = 0.0) -> BaseViewPair:
-    """Pick the track's observation pair of maximal theta.
-
-    Ties break to the lexicographically smallest (i, j); the winning
-    theta is recomputed from the cross product itself so that a track
-    whose apparent maximum is pure rounding noise is still rejected.
-    """
-    floor = max(theta_min, THETA_FLOOR)
-    rays = homogenize(track.points)
-    g = np.einsum("kji,kj->ki", rotations[track.view_ids], rays)
-    table = _pair_theta_sq_table(g)
-    iu, ju = _upper_pairs(len(track))
-    flat = table[iu, ju]
-    best = int(np.argmax(flat))
-    p, q = int(iu[best]), int(ju[best])
-    left, right = int(track.view_ids[p]), int(track.view_ids[q])
-    theta = _canonical_theta(rotations, track.points[p], track.points[q], left, right)
-    if theta <= floor:
-        raise AllPairsDegenerate(
-            f"track {track.track_id}: max theta {theta!r} at or below {floor!r}"
-        )
-    return BaseViewPair(left, right, theta)
-
-
-def _row_block_arrays(track: Track, base: BaseViewPair, rotations: np.ndarray):
-    """Vectorized B/C blocks for every observed view != anchor left.
-
-    Returns (row_views, B, C, w_norms, a_vec); ``w_norms`` are the rows'
-    own parallax indicators, consulted only when a positive theta_min
-    asks for low-parallax rows to be dropped.
-    """
-    left, right = base.left, base.right
-    g_left = rotations[left].T @ homogenize(track.point_in_view(left))
-    u = rotations[right] @ g_left
-    v = homogenize(track.point_in_view(right))
-    a_vec = v * float(u @ v) - u * float(v @ v)
-    theta_sq = base.theta * base.theta
-
-    mask = track.view_ids != left
-    views = track.view_ids[mask]
-    X = homogenize(track.points[mask])
-    R_views = rotations[views]
-    U = R_views @ g_left
-    W = cross_rows(X, U)
-    w_norms = np.linalg.norm(W, axis=1)
-    aR = rotations[right].T @ a_vec
-    B = W[:, :, None] * aR[None, None, :]
-    C = theta_sq * (skew_batch(X) @ R_views)
-    return views, B, C, w_norms, a_vec
-
-
-def build_row_blocks(
-    track: Track, base: BaseViewPair, rotations: np.ndarray, theta_min: float = 0.0
-) -> list:
-    """Per-view constraint blocks of one track, in view order.
-
-    With the default ``theta_min = 0`` every observation contributes a
-    row; a positive threshold drops rows whose own parallax indicator
-    falls below it (a conditioning knob that also discards the rows that
-    glue rotating-in-place cameras to their partners, so it is off by
-    default).
-    """
-    views, B, C, w_norms, _ = _row_block_arrays(track, base, rotations)
-    blocks = []
-    for k, view in enumerate(views):
-        if theta_min > 0 and w_norms[k] <= theta_min:
-            continue
-        blocks.append(RowBlock(track.track_id, int(view), B[k], C[k], -(B[k] + C[k])))
-    return blocks
 
 
 def assemble_system(
@@ -279,10 +139,17 @@ def assemble_system(
 ) -> TranslationSystem:
     """Assemble the homogeneous system over stacked camera centers.
 
+    Every track's rows come from one pass of the anchored-depth kernel
+    over the observation table (:mod:`poseonly.observations`):
+    ``B = (X_i x U_i) (R_right' a)'`` and ``C = theta^2 [X_i]x R_i``.
+
     Tracks whose every pair is parallax-free are dropped; at least two
     usable tracks are required (a globally rotating-in-place camera set
     cannot constrain translation at all). A positive ``theta_min`` also
-    drops individual rows of low parallax, see :func:`build_row_blocks`.
+    drops the rows whose own parallax ``|X_i x U_i|`` falls to it or
+    below (a conditioning knob that also discards the rows that glue
+    rotating-in-place cameras to their partners, so it is off by
+    default), and with them any track left without rows.
     ``normalize_rows`` divides each track's blocks by the anchor theta^2,
     exposing the conditioning trade-off; default keeps the natural
     theta^2 weighting.
@@ -292,48 +159,39 @@ def assemble_system(
     if not 0 <= reference_view < n_views:
         raise ValueError(f"reference view {reference_view} out of range")
 
-    all_views, all_B, all_C, all_tids = [], [], [], []
-    all_lefts, all_rights = [], []
-    bases, sign_probes = {}, []
-    for track in sorted(tracks, key=lambda t: t.track_id):
-        try:
-            base = select_base_views(track, rotations, theta_min)
-        except AllPairsDegenerate:
-            continue
-        views, B, C, w_norms, a_vec = _row_block_arrays(track, base, rotations)
-        keep = w_norms > theta_min if theta_min > 0 else np.ones(len(views), bool)
-        if not keep.any():
-            continue
-        if normalize_rows:
-            scale = 1.0 / (base.theta * base.theta)
-            B = B * scale
-            C = C * scale
-        all_views.append(views[keep])
-        all_B.append(B[keep])
-        all_C.append(C[keep])
-        all_tids.append(np.full(int(keep.sum()), track.track_id))
-        all_lefts.append(np.full(int(keep.sum()), base.left))
-        all_rights.append(np.full(int(keep.sum()), base.right))
-        bases[track.track_id] = base
-        sign_probes.append((base.left, base.right, a_vec))
-
-    if len(bases) < 2:
+    bases, _ = select_bases(tracks, rotations, theta_min)
+    table = build_table(tracks, bases)
+    terms = anchored_terms(table, rotations)
+    row_track = table.row_track
+    keep = np.ones(len(row_track), dtype=bool)
+    if theta_min > 0:
+        keep = np.linalg.norm(terms.W, axis=1) > theta_min
+    usable = np.bincount(row_track[keep], minlength=len(table.track_ids)) > 0
+    if usable.sum() < 2:
         raise InsufficientParallax(
-            f"only {len(bases)} track(s) carry parallax; need at least 2"
+            f"only {int(usable.sum())} track(s) carry parallax; need at least 2"
         )
+
+    a_world = np.einsum("tji,tj->ti", rotations[table.right], terms.a)
+    weight = terms.theta_sq
+    if normalize_rows:
+        a_world = a_world / weight[:, None]
+        weight = np.ones_like(weight)
+    row_track = row_track[keep]
+    B = terms.W[keep][:, :, None] * a_world[row_track][:, None, :]
+    C = weight[row_track][:, None, None] * (skew_batch(terms.X[keep]) @ terms.R[keep])
     return TranslationSystem(
         n_views=n_views,
         reference_view=reference_view,
-        track_ids=np.concatenate(all_tids),
-        row_views=np.concatenate(all_views),
-        lefts=np.concatenate(all_lefts),
-        rights=np.concatenate(all_rights),
-        B=np.concatenate(all_B),
-        C=np.concatenate(all_C),
-        bases=bases,
-        sign_probes=sign_probes,
+        row_views=table.row_view[keep],
+        lefts=table.left[row_track],
+        rights=table.right[row_track],
+        B=B,
+        C=C,
+        bases={tid: bases[tid] for tid in table.track_ids[usable].tolist()},
+        probe_views=np.stack((table.left, table.right), axis=1)[usable],
+        probe_a=terms.a[usable],
         rotations=rotations,
-        theta_min=theta_min,
     )
 
 
@@ -394,15 +252,11 @@ def disambiguate_sign(translations: np.ndarray, system: TranslationSystem):
     """
 
     def count(t):
-        pos = neg = 0
-        for left, right, a_vec in system.sign_probes:
-            t_rel = system.rotations[right] @ (t[left] - t[right])
-            s = float(a_vec @ t_rel)
-            if s > 0:
-                pos += 1
-            elif s < 0:
-                neg += 1
-        return pos, neg
+        left, right = system.probe_views.T
+        s = np.einsum(
+            "ki,kij,kj->k", system.probe_a, system.rotations[right], t[left] - t[right]
+        )
+        return int((s > 0).sum()), int((s < 0).sum())
 
     pos, neg = count(translations)
     if neg > pos:

@@ -4,6 +4,16 @@ import pytest
 import poseonly as po
 from poseonly.simulate import gaussian, look_at_rotation, make_rng
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Derandomized so every run draws the same examples; no deadline
+    # because a shared 2-core machine makes per-example times erratic.
+    settings.register_profile("deterministic", derandomize=True, deadline=None)
+    settings.load_profile("deterministic")
+
 # Collected by the acceptance tests; printed in the terminal summary so
 # one PASS/FAIL line per criterion is visible on every run.
 _ACCEPTANCE_RESULTS = []

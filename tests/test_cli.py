@@ -151,6 +151,43 @@ class TestErrorPaths:
         assert code == 2
         assert "InsufficientParallax" in err
 
+    def test_nan_quaternion_exit_1(self, tmp_path, s1_file, capsys):
+        lines = open(s1_file).read().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith("V 1 "))
+        lines[k] = "V 1 nan 0.0 0.0 0.0"
+        bad = tmp_path / "nanquat.po"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["solve", str(bad)], capsys)
+        assert code == 1
+        assert "ParseError" in err and f"line {k + 1}" in err
+
+    def test_escaping_linalg_error_exit_2(self, s1_file, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("poseonly.cli.solve_translations", fail)
+        code, _, err = run(["solve", s1_file], capsys)
+        assert code == 2
+        assert "NumericalError" in err and "SVD did not converge" in err
+
+    @pytest.mark.parametrize("command", ["pa", "reconstruct", "eval"])
+    @pytest.mark.parametrize("extra_views", [1, -1])
+    def test_pose_count_mismatch_exit_1(self, tmp_path, s1_file, capsys, command, extra_views):
+        problem = po.read_problem(s1_file)
+        poses = list(problem.gt_poses)
+        poses = poses + poses[:1] if extra_views > 0 else poses[:-1]
+        pose_file = str(tmp_path / "mismatch.poses")
+        po.write_poses(pose_file, poses)
+        flag = "--init" if command == "pa" else "--poses"
+        out = str(tmp_path / "out")
+        args = [command, s1_file, flag, pose_file]
+        if command != "eval":
+            args += ["-o", out]
+        code, _, err = run(args, capsys)
+        assert code == 1
+        assert "InputError" in err
+        assert not os.path.exists(out)
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(["--help"], capsys)
         assert code == 0

@@ -165,6 +165,73 @@ class TestParseErrors:
             po.read_problem(self.write(tmp_path, text))
 
 
+class TestNonFiniteFields:
+    """Non-finite numbers are rejected at the file boundary, naming the
+    offending line."""
+
+    PROBLEM = (
+        "POSEONLY 1\n"
+        "2 1 2\n"
+        "V 0 1.0 0.0 0.0 0.0\n"
+        "V 1 1.0 0.0 0.0 0.0\n"
+        "O 0 0 0.1 0.1\n"
+        "O 0 1 0.2 0.1\n"
+        "G 0 1.0 0.0 0.0 0.0 0.0 0.0 0.0\n"
+        "G 1 1.0 0.0 0.0 0.0 1.0 0.0 0.0\n"
+        "R 0\n"
+    )
+    POSES = (
+        "POSEONLY-POSES 1\n"
+        "2\n"
+        "P 0 1.0 0.0 0.0 0.0 0.0 0.0 0.0\n"
+        "P 1 1.0 0.0 0.0 0.0 1.0 0.0 0.0\n"
+    )
+
+    @staticmethod
+    def mutated(text, line, field, value):
+        lines = text.splitlines()
+        tokens = lines[line - 1].split()
+        tokens[field] = value
+        lines[line - 1] = " ".join(tokens)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [
+            (3, 2, "nan"),  # V quaternion
+            (4, 5, "NaN"),
+            (3, 3, "inf"),
+            (5, 3, "nan"),  # O x
+            (6, 4, "-inf"),  # O y
+            (7, 2, "nan"),  # G quaternion
+            (8, 6, "inf"),  # G center
+        ],
+    )
+    def test_problem_field_rejected(self, tmp_path, line, field, value):
+        path = tmp_path / "bad.po"
+        path.write_text(self.mutated(self.PROBLEM, line, field, value))
+        with pytest.raises(ParseError) as err:
+            po.read_problem(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "line, field, value", [(3, 2, "nan"), (4, 3, "inf"), (4, 6, "nan"), (3, 8, "-inf")]
+    )
+    def test_poses_field_rejected(self, tmp_path, line, field, value):
+        path = tmp_path / "bad.poses"
+        path.write_text(self.mutated(self.POSES, line, field, value))
+        with pytest.raises(ParseError) as err:
+            po.read_poses(path)
+        assert err.value.line == line
+
+    def test_unmutated_files_parse(self, tmp_path):
+        problem, poses = tmp_path / "ok.po", tmp_path / "ok.poses"
+        problem.write_text(self.PROBLEM)
+        poses.write_text(self.POSES)
+        assert len(po.read_problem(problem).tracks) == 1
+        assert len(po.read_poses(poses)) == 2
+
+
 class TestPosesRoundTrip:
     def test_round_trip(self, tmp_path, scene_s1):
         path = tmp_path / "poses.txt"

@@ -1,0 +1,83 @@
+import numpy as np
+import pytest
+
+import poseonly as po
+from poseonly.observations import anchored_terms, build_table, select_bases
+
+from conftest import make_rng
+
+
+def noisy_scene(seed, n_views=6, n_points=12):
+    return po.generate_scene(
+        po.SceneConfig(n_views=n_views, n_points=n_points, seed=seed, obs_noise_sigma=1e-3)
+    )
+
+
+class TestTable:
+    def test_layout(self):
+        prob = noisy_scene(1)
+        bases, degenerate = select_bases(prob.tracks, prob.rotations)
+        assert degenerate == []
+        # Drop one track from the anchors and shuffle the input order: the
+        # table keeps the anchored tracks only, in id order.
+        del bases[3]
+        shuffled = [prob.tracks[k] for k in make_rng(2).permutation(len(prob.tracks))]
+        table = build_table(shuffled, bases)
+        kept = [t for t in prob.tracks if t.track_id != 3]
+        assert table.track_ids.tolist() == [t.track_id for t in kept]
+        for k, track in enumerate(kept):
+            span = slice(table.track_start[k], table.track_start[k + 1])
+            assert np.all(table.obs_track[span] == k)
+            assert np.array_equal(table.obs_view[span], track.view_ids)
+            assert np.array_equal(table.obs_xy[span], track.points)
+            base = bases[track.track_id]
+            assert (table.left[k], table.right[k], table.theta[k]) == (
+                base.left, base.right, base.theta
+            )
+            assert table.obs_view[table.left_obs[k]] == base.left
+            rows = table.rows[table.row_start[k]:table.row_start[k + 1]]
+            assert table.obs_view[rows].tolist() == [
+                v for v in track.view_ids.tolist() if v != base.left
+            ]
+            assert table.row_view[table.right_row[k]] == base.right
+
+    def test_missing_anchor_view_rejected(self):
+        track = po.Track(0, [0, 1], [[0.1, 0.2], [0.2, 0.1]])
+        with pytest.raises(KeyError):
+            build_table([track], {0: po.BaseViewPair(0, 2, 0.1)})
+
+
+class TestKernelAgainstPairOracle:
+    """The batched kernel reproduces the independent two-view
+    ``pair_geometry``/``linear_depths`` values pair by pair."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_scenes(self, seed):
+        prob = noisy_scene(700 + seed)
+        poses = prob.gt_poses
+        bases, _ = select_bases(prob.tracks, prob.rotations)
+        table = build_table(prob.tracks, bases)
+        Rs = np.stack([p.rotation for p in poses])
+        Cs = np.stack([p.center for p in poses])
+        terms = anchored_terms(table, Rs, Cs)
+        for k, track in enumerate(prob.tracks):
+            left, right = int(table.left[k]), int(table.right[k])
+            x_left = track.point_in_view(left)
+            anchor = po.pair_geometry(poses[left], poses[right], x_left, track.point_in_view(right))
+            assert terms.theta_sq[k] == pytest.approx(anchor.theta**2, rel=1e-12)
+            assert np.allclose(terms.a[k], anchor.a_vec, rtol=0, atol=1e-13)
+            assert terms.depth[k] == pytest.approx(po.linear_depths(anchor)[0], rel=1e-10)
+            for row in range(table.row_start[k], table.row_start[k + 1]):
+                view = int(table.row_view[row])
+                pair = po.pair_geometry(poses[left], poses[view], x_left, track.point_in_view(view))
+                assert np.linalg.norm(terms.W[row]) == pytest.approx(pair.theta, rel=1e-12)
+                assert np.allclose(terms.U[row], pair.ray_i, rtol=0, atol=1e-14)
+                assert np.allclose(terms.T[row], pair.rel_translation, rtol=0, atol=1e-12)
+
+    def test_rotations_only_leaves_center_terms_empty(self, scene_s1):
+        bases, _ = select_bases(scene_s1.tracks, scene_s1.rotations)
+        table = build_table(scene_s1.tracks, bases)
+        terms = anchored_terms(table, scene_s1.rotations)
+        assert terms.T is None and terms.depth is None
+        # The kernel's theta^2 agrees with the selection's theta.
+        assert np.allclose(terms.theta_sq, table.theta**2, rtol=1e-12)

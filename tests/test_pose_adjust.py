@@ -7,7 +7,6 @@ from poseonly.geometry import rotation_about
 from poseonly.pose_adjust import (
     PAConfig,
     PoseParameterization,
-    build_layout,
     pa_jacobian,
     pa_residuals,
     select_anchor_view,
@@ -38,7 +37,7 @@ def fd_jacobian(param, poses, tracks, bases, h):
         r, _ = pa_residuals(poses2, tracks, bases, on_degenerate="drop")
         return r
 
-    n_res = build_layout(tracks, bases).n_residuals
+    n_res = len(pa_residuals(poses, tracks, bases, on_degenerate="drop")[0])
     J = np.zeros((n_res, param.n_params))
     for k in range(param.n_params):
         step = np.zeros(param.n_params)
@@ -63,9 +62,10 @@ class TestResiduals:
         assert dropped == []
 
     def test_layout_count(self):
+        # One 2-vector per observation outside the track's anchor-left view.
         prob = po.generate_scene(po.SceneConfig(n_views=6, n_points=9, seed=1))
-        layout = build_layout(prob.tracks, bases_for(prob))
-        assert layout.n_residuals == sum((len(t) - 1) * 2 for t in prob.tracks)
+        res, _ = pa_residuals(prob.gt_poses, prob.tracks, bases_for(prob))
+        assert len(res) == sum((len(t) - 1) * 2 for t in prob.tracks)
 
     def test_center_perturbation_gives_positive_residual(self, scene_s1):
         poses = list(scene_s1.gt_poses)
@@ -132,11 +132,11 @@ class TestJacobian:
         bases = bases_for(prob)
         param = default_param(prob)
         J = pa_jacobian(prob.gt_poses, prob.tracks, bases, param)
-        layout = build_layout(prob.tracks, bases)
-        track = prob.tracks[0]
+        # Residuals run over tracks in id order, so the lowest-id track
+        # owns the first row.
+        track = min(prob.tracks, key=lambda t: t.track_id)
         base = bases[track.track_id]
-        slot = layout.slot_offsets[layout.track_ids.index(track.track_id)]
-        row = J.getrow(2 * slot).toarray().ravel()
+        row = J.getrow(0).toarray().ravel()
         observed = track.view_ids[track.view_ids != base.left][0]
         allowed = {base.left, base.right, int(observed)}
         for v in range(prob.n_views):
@@ -257,6 +257,14 @@ class TestOptimize:
         for before, after in zip(init, poses):
             assert np.array_equal(before.rotation, after.rotation)
         assert report.final_cost <= report.initial_cost
+
+    def test_out_of_range_track_raises(self):
+        # A track naming a view the poses do not have is an input error,
+        # not a degenerate track to drop silently.
+        prob = po.generate_scene(po.SceneConfig(n_views=4, n_points=6, seed=28))
+        stray = po.Track(99, [0, 7], [[0.1, 0.2], [0.2, 0.1]])
+        with pytest.raises(IndexError):
+            po.pa_optimize(prob.gt_poses, list(prob.tracks) + [stray], reference_view=0)
 
     def test_nonfinite_input_raises(self):
         prob = po.generate_scene(po.SceneConfig(n_views=5, n_points=8, seed=27))

@@ -1,0 +1,140 @@
+"""Property-based tests: file round-trips and CLI robustness under
+single-token corruption of a valid problem file."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import poseonly as po
+from poseonly.cli import run_cli
+from poseonly.problem_io import quat_to_rotation
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rotations(draw):
+    q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    hypothesis.assume(np.linalg.norm(q) > 1e-3)
+    return quat_to_rotation(q / np.linalg.norm(q))
+
+
+@st.composite
+def poses(draw, n_views):
+    return [
+        po.CameraPose(draw(rotations()), draw(st.lists(finite, min_size=3, max_size=3)))
+        for _ in range(n_views)
+    ]
+
+
+@st.composite
+def problems(draw):
+    n_views = draw(st.integers(2, 4))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True))
+    tracks = []
+    for track_id in ids:
+        views = draw(st.lists(st.integers(0, n_views - 1), min_size=2, unique=True))
+        points = draw(st.lists(st.tuples(finite, finite), min_size=len(views), max_size=len(views)))
+        tracks.append(po.Track(track_id, sorted(views), points))
+    gt = draw(st.none() | poses(n_views))
+    return po.SceneProblem(
+        rotations=np.stack([draw(rotations()) for _ in range(n_views)]),
+        tracks=tracks,
+        reference_view=draw(st.integers(0, n_views - 1)),
+        gt_poses=gt,
+        gt_points=None,
+    )
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_rotation(a, b) -> bool:
+    # Files carry rotations as quaternions: the matrix -> quaternion ->
+    # matrix conversion moves entries by a few ulps (up to 6 measured).
+    return np.allclose(a, b, rtol=0, atol=4e-15)
+
+
+@settings(max_examples=60)
+@given(problems())
+def test_problem_file_round_trip(problem):
+    """Observations, ids, centers and the reference view come back bit
+    for bit; rotations to the quaternion conversion's rounding."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.po"
+        po.write_problem(path, problem)
+        back = po.read_problem(path)
+    assert back.reference_view == problem.reference_view
+    assert all(same_rotation(a, b) for a, b in zip(back.rotations, problem.rotations))
+    expected = sorted(problem.tracks, key=lambda t: t.track_id)
+    assert [t.track_id for t in back.tracks] == [t.track_id for t in expected]
+    for a, b in zip(back.tracks, expected):
+        assert same_bits(a.view_ids, b.view_ids)
+        assert same_bits(a.points, b.points)
+    assert (back.gt_poses is None) == (problem.gt_poses is None)
+    for a, b in zip(back.gt_poses or [], problem.gt_poses or []):
+        assert same_bits(a.center, b.center)
+        assert same_rotation(a.rotation, b.rotation)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(poses))
+def test_pose_file_round_trip(pose_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.poses"
+        po.write_poses(path, pose_list)
+        back = po.read_poses(path)
+    assert len(back) == len(pose_list)
+    for a, b in zip(back, pose_list):
+        assert same_bits(a.center, b.center)
+        assert same_rotation(a.rotation, b.rotation)
+
+
+_SCENE = po.generate_scene(po.SceneConfig(n_views=4, n_points=5, seed=5, obs_noise_sigma=1e-3))
+_REPLACEMENTS = [
+    "", "nan", "inf", "-inf", "0", "1", "-1", "2", "3", "7", "0.5", "-0.5",
+    "1e-300", "1e300", "x", "O", "V", "G", "R", "POSEONLY",
+]
+
+
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutation")
+    problem = root / "scene.po"
+    po.write_problem(problem, _SCENE)
+    poses = root / "scene.poses"
+    po.write_poses(poses, _SCENE.gt_poses)
+    return problem.read_text().splitlines(), str(poses)
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_single_token_mutation_never_raises(scene_files, data):
+    lines, poses = scene_files
+    line = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[line].split()
+    field = data.draw(st.integers(0, len(tokens) - 1))
+    tokens[field] = data.draw(st.sampled_from(_REPLACEMENTS))
+    mutated = lines[:line] + [" ".join(tokens)] + lines[line + 1:]
+    sink = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = str(Path(tmp) / "m.po")
+        Path(problem).write_text("\n".join(mutated) + "\n")
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            codes = [
+                run_cli(["solve", problem, "-o", str(Path(tmp) / "m.poses")]),
+                run_cli(["reconstruct", problem, "--poses", poses,
+                         "-o", str(Path(tmp) / "m.ply")]),
+                run_cli(["eval", problem, "--poses", poses]),
+            ]
+    assert set(codes) <= {0, 1, 2}

@@ -37,46 +37,58 @@ class TestBaseViewSelection:
         assert (base.left, base.right) == (0, 2)
 
 
+def gluing_scene():
+    """Three identity-rotation views: track 0 sees the same ray in the
+    co-located-looking views 0 and 1, track 1 gives the system its
+    second usable track."""
+    rotations = np.stack([np.eye(3)] * 3)
+    tracks = [
+        po.Track(0, [0, 1, 2], [[0.1, 0.0], [0.1, 0.0], [0.3, 0.0]]),
+        po.Track(1, [1, 2], [[0.0, 0.1], [0.2, 0.1]]),
+    ]
+    return tracks, rotations
+
+
 class TestRowBlocks:
     def test_d_is_minus_b_plus_c(self, scene_s1):
-        base = po.select_base_views(scene_s1.tracks[0], scene_s1.rotations)
-        for blk in po.build_row_blocks(scene_s1.tracks[0], base, scene_s1.rotations):
-            assert np.array_equal(blk.D, -(blk.B + blk.C))
+        # The anchor-left view's columns of every block hold D = -(B + C).
+        system = po.assemble_system(scene_s1.tracks, scene_s1.rotations, 0)
+        full = system.full_matrix().toarray()
+        for k, left in enumerate(system.lefts):
+            block = full[3 * k:3 * k + 3, 3 * left:3 * left + 3]
+            assert np.array_equal(block, -(system.B[k] + system.C[k]))
 
     def test_blocks_annihilate_ground_truth(self):
         for seed in range(5):
             prob = exact_generic_scene(seed, n_views=6, n_points=10)
             centers = prob.gt_centers()
-            for track in prob.tracks:
-                base = po.select_base_views(track, prob.rotations)
-                for blk in po.build_row_blocks(track, base, prob.rotations):
-                    res = (
-                        blk.B @ centers[base.right]
-                        + blk.C @ centers[blk.row_view]
-                        + blk.D @ centers[base.left]
-                    )
-                    assert np.linalg.norm(res) < 1e-12 * max(np.abs(centers).max(), 1.0)
+            system = po.assemble_system(prob.tracks, prob.rotations, 0)
+            res = (
+                np.einsum("kij,kj->ki", system.B, centers[system.rights])
+                + np.einsum("kij,kj->ki", system.C, centers[system.row_views])
+                - np.einsum("kij,kj->ki", system.B + system.C, centers[system.lefts])
+            )
+            bound = 1e-12 * max(np.abs(centers).max(), 1.0)
+            assert np.linalg.norm(res, axis=1).max() < bound
 
     def test_parallel_ray_keeps_gluing_row(self):
         # Bitwise-identical observation in a co-located view zeroes B
         # exactly, but C survives: the row reduces to C (t_1 - t_0) = 0,
         # which pins the co-located pair together.
-        rotations = np.stack([np.eye(3)] * 3)
-        track = po.Track(0, [0, 1, 2], [[0.1, 0.0], [0.1, 0.0], [0.3, 0.0]])
-        base = po.select_base_views(track, rotations)
+        tracks, rotations = gluing_scene()
+        system = po.assemble_system(tracks, rotations, 0)
+        base = system.bases[0]
         assert (base.left, base.right) == (0, 2)
-        blocks = po.build_row_blocks(track, base, rotations)
-        by_view = {b.row_view: b for b in blocks}
-        assert np.all(by_view[1].B == 0)
-        assert np.any(by_view[1].C != 0)
-        assert np.array_equal(by_view[1].D, -by_view[1].C)
+        (k,) = np.flatnonzero((system.lefts == 0) & (system.row_views == 1))
+        assert np.all(system.B[k] == 0)
+        assert np.any(system.C[k] != 0)
+        full = system.full_matrix().toarray()
+        assert np.array_equal(full[3 * k:3 * k + 3, 0:3], -system.C[k])
 
     def test_positive_theta_min_drops_weak_rows(self):
-        rotations = np.stack([np.eye(3)] * 3)
-        track = po.Track(0, [0, 1, 2], [[0.1, 0.0], [0.1, 0.0], [0.3, 0.0]])
-        base = po.select_base_views(track, rotations)
-        blocks = po.build_row_blocks(track, base, rotations, theta_min=1e-6)
-        assert [b.row_view for b in blocks] == [2]
+        tracks, rotations = gluing_scene()
+        system = po.assemble_system(tracks, rotations, 0, theta_min=1e-6)
+        assert system.row_views[system.lefts == 0].tolist() == [2]
 
 
 class TestAssembly:
@@ -88,9 +100,16 @@ class TestAssembly:
         assert np.sum(s < 1e-10 * s[0]) == 1
 
     def test_row_order_deterministic(self, scene_s1):
+        # Blocks run over tracks in id order, each track's views ascending
+        # with its anchor-left view skipped.
         system = po.assemble_system(scene_s1.tracks, scene_s1.rotations, 0)
-        order = system.row_order()
-        assert order == sorted(order)
+        expected = [
+            view
+            for track in sorted(scene_s1.tracks, key=lambda t: t.track_id)
+            for view in track.view_ids.tolist()
+            if view != system.bases[track.track_id].left
+        ]
+        assert system.row_views.tolist() == expected
 
     def test_all_cameras_coincident_insufficient(self):
         rng = make_rng(4)
@@ -188,7 +207,9 @@ class TestSolve:
         prob = exact_generic_scene(79, n_views=6, n_points=20)
         system_a = po.assemble_system(prob.tracks, prob.rotations, 0)
         system_b = po.assemble_system(prob.tracks, prob.rotations, 0)
-        assert system_a.row_order() == system_b.row_order()
+        assert np.array_equal(system_a.row_views, system_b.row_views)
+        assert np.array_equal(system_a.B, system_b.B)
+        assert np.array_equal(system_a.C, system_b.C)
         sol_a = po.solve_translations(system_a, backend="dense")
         sol_b = po.solve_translations(system_b, backend="dense")
         assert np.array_equal(sol_a.translations, sol_b.translations)
