@@ -54,7 +54,6 @@ def _build_parser() -> _Parser:
                      help="perturb solver-input rotations by this fixed angle")
     sim.add_argument("--point-cloud", default="box", choices=simulate.POINT_CLOUDS)
     sim.add_argument("--shell-radius", type=float, default=2.0)
-    sim.add_argument("--min-track-len", type=int, default=2)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("-o", "--output", required=True)
 
@@ -62,9 +61,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("problem")
     solve.add_argument("-o", "--output", default=None,
                        help="poses output (default: <problem>.poses)")
-    solve.add_argument("--theta-min", type=float, default=0.0)
-    solve.add_argument("--normalize-rows", action="store_true",
-                       help="divide each track's rows by its anchor theta^2")
     solve.add_argument("--backend", default="auto", choices=("auto", "dense", "normal"))
 
     pa = sub.add_parser("pa", help="pose-only nonlinear refinement")
@@ -75,7 +71,6 @@ def _build_parser() -> _Parser:
     pa.add_argument("--max-iter", type=int, default=100)
     pa.add_argument("--gradient-tol", type=float, default=1e-10)
     pa.add_argument("--step-tol", type=float, default=1e-12)
-    pa.add_argument("--theta-min", type=float, default=0.0)
     pa.add_argument("--rotations-frozen", action="store_true",
                     help="hold rotations at their input values")
 
@@ -87,7 +82,6 @@ def _build_parser() -> _Parser:
     rec.add_argument("--points-out", default=None,
                      help="optional text output: track_id x y z per line")
     rec.add_argument("--min-track-len", type=int, default=2)
-    rec.add_argument("--theta-min", type=float, default=0.0)
 
     base = sub.add_parser("baseline", help="direction-based least-squares solver")
     base.add_argument("problem")
@@ -98,7 +92,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("problem")
     ev.add_argument("--poses", required=True)
     ev.add_argument("--min-track-len", type=int, default=2)
-    ev.add_argument("--theta-min", type=float, default=0.0)
     ev.add_argument("--timings", action="store_true",
                     help="include runtime lines in the machine output "
                     "(non-deterministic)")
@@ -127,7 +120,6 @@ def _cmd_simulate(args) -> int:
         shell_radius=args.shell_radius,
         obs_noise_sigma=args.sigma,
         rotation_noise_deg=args.rotation_noise_deg,
-        min_track_len=args.min_track_len,
         seed=args.seed,
     )
     problem = simulate.generate_scene(config)
@@ -143,10 +135,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_solve(args) -> int:
     problem = problem_io.read_problem(args.problem)
     start = time.perf_counter()
-    system = assemble_system(
-        problem.tracks, problem.rotations, problem.reference_view,
-        theta_min=args.theta_min, normalize_rows=args.normalize_rows,
-    )
+    system = assemble_system(problem.tracks, problem.rotations, problem.reference_view)
     solution = solve_translations(system, backend=args.backend)
     elapsed = (time.perf_counter() - start) * 1e3
     out = args.output or _default_out(args.problem, ".poses")
@@ -170,7 +159,6 @@ def _cmd_pa(args) -> int:
         max_iter=args.max_iter,
         gradient_tol=args.gradient_tol,
         step_tol=args.step_tol,
-        theta_min=args.theta_min,
         refine_rotations=not args.rotations_frozen,
     )
     poses, report = pa_optimize(
@@ -190,10 +178,7 @@ def _cmd_pa(args) -> int:
 def _cmd_reconstruct(args) -> int:
     problem = problem_io.read_problem(args.problem)
     poses = _read_poses_for(problem, args.poses)
-    result = reconstruct_all(
-        problem.tracks, poses, theta_min=args.theta_min,
-        min_track_len=args.min_track_len,
-    )
+    result = reconstruct_all(problem.tracks, poses, min_track_len=args.min_track_len)
     out = args.output or _default_out(args.problem, ".ply")
     centers = np.stack([p.center for p in poses])
     problem_io.export_ply(result.points, centers, out)
@@ -238,9 +223,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_eval(args) -> int:
     problem = problem_io.read_problem(args.problem)
     poses = _read_poses_for(problem, args.poses)
-    report = evaluate.evaluate_poses(
-        problem, poses, min_track_len=args.min_track_len, theta_min=args.theta_min
-    )
+    report = evaluate.evaluate_poses(problem, poses, min_track_len=args.min_track_len)
     print(evaluate.format_report(report), file=sys.stderr)
     for line in evaluate.report_lines(report, include_timings=args.timings):
         print(line)

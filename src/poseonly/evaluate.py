@@ -122,7 +122,7 @@ class EvalReport:
 
 
 def evaluate_poses(problem, est_poses, min_track_len: int = 2,
-                   theta_min: float = 0.0, backend: str = "auto") -> EvalReport:
+                   backend: str = "auto") -> EvalReport:
     """Full evaluation of estimated poses on a problem.
 
     Reconstructs the scene analytically from the estimated poses and
@@ -133,16 +133,12 @@ def evaluate_poses(problem, est_poses, min_track_len: int = 2,
     timings = {}
 
     start = time.perf_counter()
-    system = assemble_system(
-        problem.tracks, problem.rotations, problem.reference_view, theta_min
-    )
+    system = assemble_system(problem.tracks, problem.rotations, problem.reference_view)
     singular_gap = spectral_gap(system, backend)
     timings["assemble_spectrum"] = (time.perf_counter() - start) * 1e3
 
     start = time.perf_counter()
-    recon = reconstruct_all(
-        problem.tracks, est_poses, theta_min=theta_min, min_track_len=min_track_len
-    )
+    recon = reconstruct_all(problem.tracks, est_poses, min_track_len=min_track_len)
     timings["reconstruct"] = (time.perf_counter() - start) * 1e3
 
     start = time.perf_counter()

@@ -68,17 +68,6 @@ def homogenize(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross3(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors without ufunc dispatch overhead."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-
-
 def cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise cross product of two (N, 3) arrays."""
     out = np.empty_like(A)
@@ -270,48 +259,46 @@ def pair_geometry(pose_i: CameraPose, pose_j: CameraPose, x_i, x_j) -> PairGeome
     return compute_pair_geometry(relative_pose(pose_i, pose_j), x_i, x_j)
 
 
-def _require_theta(pg: PairGeometry, theta_min: float) -> float:
-    floor = max(theta_min, THETA_FLOOR)
-    if pg.theta <= floor:
+def _require_theta(pg: PairGeometry) -> None:
+    if pg.theta <= THETA_FLOOR:
         raise DegeneratePair(
-            f"theta {pg.theta!r} at or below floor {floor!r} (pure-rotation pair)"
+            f"theta {pg.theta!r} at or below floor {THETA_FLOOR!r} (pure-rotation pair)"
         )
-    return floor
 
 
-def pair_depths(pg: PairGeometry, theta_min: float = 0.0):
+def pair_depths(pg: PairGeometry):
     """Closed-form depth magnitudes (d_i, d_j) of the pair's feature.
 
     ``d_i = ||X_j x t|| / theta`` and ``d_j = ||(R_ij X_i) x t|| / theta``.
     Values equal the signed linear forms of :func:`linear_depths` on
     consistent front-of-camera geometry.
     """
-    _require_theta(pg, theta_min)
+    _require_theta(pg)
     t = pg.rel_translation
     d_i = float(np.linalg.norm(np.cross(pg.ray_j, t))) / pg.theta
     d_j = float(np.linalg.norm(np.cross(pg.ray_i, t))) / pg.theta
     return d_i, d_j
 
 
-def linear_depths(pg: PairGeometry, theta_min: float = 0.0):
+def linear_depths(pg: PairGeometry):
     """Signed depths (a.t / theta^2, b.t / theta^2).
 
     Reported unclamped: the sign carries the cheirality information the
     translation solver's disambiguation step relies on.
     """
-    _require_theta(pg, theta_min)
+    _require_theta(pg)
     t = pg.rel_translation
     theta_sq = pg.theta * pg.theta
     return float(pg.a_vec @ t) / theta_sq, float(pg.b_vec @ t) / theta_sq
 
 
-def pair_residual(pg: PairGeometry, x_i, x_j, theta_min: float = 0.0) -> np.ndarray:
+def pair_residual(pg: PairGeometry, x_i, x_j) -> np.ndarray:
     """Two-view pose-only constraint residual ``d_j X_j - d_i R_ij X_i - t``.
 
     Uses the signed linear depths; exactly zero (to rounding) on
     consistent geometry.
     """
-    d_i, d_j = linear_depths(pg, theta_min)
+    d_i, d_j = linear_depths(pg)
     return (
         d_j * homogenize(x_j)
         - d_i * (pg.rel_rotation @ homogenize(x_i))

@@ -12,15 +12,22 @@ anchor-left view the kernel gives ``U = R_i R_left' X_left``,
 anchor vector ``a = v (u.v) - u (v.v)`` (u, v: U and X_i in the
 anchor-right view), ``theta^2 = |u x v|^2`` and the anchored depth
 ``a . T_right / theta^2``. The feature sits at ``depth U + T`` in view i.
+
+This module alone holds the anchor policy: a track's anchor pair is its
+observation pair of maximal theta, chosen for all tracks in one batched
+pass (:func:`select_bases`), and theta at or below ``THETA_FLOOR`` is
+no parallax: such a track is degenerate at selection
+(:func:`select_base_views`), a refined pose set that collapses its
+anchor pair drops it (:attr:`AnchorTerms.collapsed`), and such a pair
+adds nothing to a fused depth (:meth:`AnchorTerms.pair_theta`).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import AllPairsDegenerate
-from .geometry import THETA_FLOOR, Track, cross3, cross_rows, homogenize
+from .geometry import THETA_FLOOR, Track, cross_rows, homogenize
 
 
 @dataclass(frozen=True)
@@ -32,71 +39,93 @@ class BaseViewPair:
     theta: float
 
 
-def _pair_theta_sq_table(g: np.ndarray) -> np.ndarray:
-    """theta^2 for all ray pairs via the Gram identity
-    ||g_i x g_j||^2 = |g_i|^2 |g_j|^2 - (g_i . g_j)^2.
+# Anchor selection builds K x K theta^2 tables for at most this many
+# entries at once (2 MB of float64): memory stays bounded whatever the
+# track count, and the working set stays in cache.
+_TABLE_ENTRIES = 1 << 18
 
-    ``g`` are the world-frame rays R_v' X_v; rotating both rays into one
-    frame leaves the cross-product norm unchanged.
+
+def _max_theta_pairs(views, xy, rotations):
+    """Row-major first (p, q), p < q, of maximal theta^2 per track, for
+    tracks of one length K: ``views`` (T, K), ``xy`` (T, K, 2).
+
+    theta^2 of every pair comes from the Gram identity
+    ||g_p x g_q||^2 = |g_p|^2 |g_q|^2 - (g_p . g_q)^2 over the
+    world-frame rays g = R_v' X_v (rotating both rays into one frame
+    leaves the cross-product norm unchanged). Tracks go in chunks whose
+    tables hold at most ``_TABLE_ENTRIES`` entries together (one track
+    per chunk when K^2 alone exceeds it).
     """
-    gram = g @ g.T
-    sq = np.einsum("ki,ki->k", g, g)
-    table = np.multiply.outer(sq, sq) - gram * gram
-    return np.maximum(table, 0.0)
+    n, k = views.shape
+    lower = np.tri(k, dtype=bool)
+    best = np.empty(n, dtype=np.intp)
+    step = max(1, _TABLE_ENTRIES // (k * k))
+    for s in range(0, n, step):
+        v = views[s:s + step].reshape(-1)
+        g = np.einsum("kji,kj->ki", rotations[v], homogenize(xy[s:s + step].reshape(-1, 2)))
+        g = g.reshape(-1, k, 3)
+        sq = np.einsum("tki,tki->tk", g, g)
+        gram = g @ g.transpose(0, 2, 1)
+        gram *= gram
+        table = sq[:, :, None] * sq[:, None, :]
+        table -= gram
+        np.maximum(table, 0.0, out=table)
+        table[:, lower] = -1.0
+        best[s:s + step] = table.reshape(len(g), -1).argmax(axis=1)
+    return np.divmod(best, k)
 
 
-@lru_cache(maxsize=128)
-def _upper_pairs(k: int):
-    iu, ju = np.triu_indices(k, 1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+def _anchor_pairs(tracks, rotations):
+    """Anchor (left, right, theta) arrays of ``tracks``, in input order:
+    the observation pair of maximal theta, ties to the lexicographically
+    smallest (p, q). theta is recomputed from the winning pair's cross
+    product, so a track whose apparent maximum is rounding noise keeps a
+    theta at the noise level."""
+    n = len(tracks)
+    left, right = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    x_left, x_right = np.empty((n, 2)), np.empty((n, 2))
+    groups = {}
+    for i, track in enumerate(tracks):
+        groups.setdefault(len(track), []).append(i)
+    for members in groups.values():
+        views = np.stack([tracks[i].view_ids for i in members])
+        xy = np.stack([tracks[i].points for i in members])
+        p, q = _max_theta_pairs(views, xy, rotations)
+        rows = np.arange(len(members))
+        left[members], right[members] = views[rows, p], views[rows, q]
+        x_left[members], x_right[members] = xy[rows, p], xy[rows, q]
+    R_rel = rotations[right] @ rotations[left].transpose(0, 2, 1)
+    u = (R_rel @ homogenize(x_left)[:, :, None])[:, :, 0]
+    w = cross_rows(homogenize(x_right), u)
+    return left, right, np.sqrt(np.einsum("ki,ki->k", w, w))
 
 
-def _canonical_theta(rotations, x_left, x_right, v_left, v_right) -> float:
-    R_rel = rotations[v_right] @ rotations[v_left].T
-    u = R_rel @ homogenize(x_left)
-    v = homogenize(x_right)
-    return float(np.linalg.norm(cross3(v, u)))
-
-
-def select_base_views(track: Track, rotations: np.ndarray, theta_min: float = 0.0) -> BaseViewPair:
-    """Pick the track's observation pair of maximal theta.
-
-    Ties break to the lexicographically smallest (i, j); the winning
-    theta is recomputed from the cross product itself so that a track
-    whose apparent maximum is pure rounding noise is still rejected.
-    """
-    floor = max(theta_min, THETA_FLOOR)
-    rays = homogenize(track.points)
-    g = np.einsum("kji,kj->ki", rotations[track.view_ids], rays)
-    table = _pair_theta_sq_table(g)
-    iu, ju = _upper_pairs(len(track))
-    flat = table[iu, ju]
-    best = int(np.argmax(flat))
-    p, q = int(iu[best]), int(ju[best])
-    left, right = int(track.view_ids[p]), int(track.view_ids[q])
-    theta = _canonical_theta(rotations, track.points[p], track.points[q], left, right)
-    if theta <= floor:
-        raise AllPairsDegenerate(
-            f"track {track.track_id}: max theta {theta!r} at or below {floor!r}"
-        )
-    return BaseViewPair(left, right, theta)
-
-
-def select_bases(tracks, rotations, theta_min: float = 0.0, bases: dict | None = None):
+def select_bases(tracks, rotations, bases: dict | None = None):
     """Anchor pairs of every track: entries of ``bases`` are kept, the
-    others are selected from ``rotations``. Returns (bases, ids of the
-    tracks whose every pair is parallax-free)."""
-    chosen, degenerate = dict(bases or {}), []
-    for track in tracks:
-        if track.track_id in chosen:
-            continue
-        try:
-            chosen[track.track_id] = select_base_views(track, rotations, theta_min)
-        except AllPairsDegenerate:
+    others are selected from ``rotations`` in one batched pass. Returns
+    (bases, ids of the tracks whose maximal theta is at or below
+    THETA_FLOOR, in input order)."""
+    chosen = dict(bases or {})
+    todo = [t for t in tracks if t.track_id not in chosen]
+    left, right, theta = _anchor_pairs(todo, np.asarray(rotations, dtype=float))
+    degenerate = []
+    for track, *pair in zip(todo, left.tolist(), right.tolist(), theta.tolist()):
+        if pair[2] <= THETA_FLOOR:
             degenerate.append(track.track_id)
+        else:
+            chosen[track.track_id] = BaseViewPair(*pair)
     return chosen, degenerate
+
+
+def select_base_views(track: Track, rotations: np.ndarray) -> BaseViewPair:
+    """One track's anchor pair, as :func:`select_bases` picks it; raises
+    AllPairsDegenerate when the track has no parallax."""
+    chosen, degenerate = select_bases([track], rotations)
+    if degenerate:
+        raise AllPairsDegenerate(
+            f"track {track.track_id}: no pair's theta exceeds {THETA_FLOOR!r}"
+        )
+    return chosen[track.track_id]
 
 
 def pose_arrays(poses):
@@ -186,6 +215,17 @@ class AnchorTerms:
     theta_sq: np.ndarray  # (T,)
     T: np.ndarray | None = None  # (M, 3) R_i (C_left - C_i)
     depth: np.ndarray | None = None  # (T,) anchored depth, 0 where theta = 0
+
+    @property
+    def collapsed(self) -> np.ndarray:
+        """(T,) tracks whose anchor theta fell to THETA_FLOOR or below."""
+        return self.theta_sq <= THETA_FLOOR**2
+
+    def pair_theta(self) -> np.ndarray:
+        """(M,) theta of each row's pair (anchor left, row view); 0 where
+        it is at or below THETA_FLOOR."""
+        theta = np.linalg.norm(self.W, axis=1)
+        return np.where(theta > THETA_FLOOR, theta, 0.0)
 
 
 def _dot_rows(A, B) -> np.ndarray:

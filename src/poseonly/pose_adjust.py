@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.spatial.transform import Rotation
 
 from .errors import DegenerateBase, DivergedNumerically
-from .geometry import THETA_FLOOR, CameraPose
+from .geometry import CameraPose
 from .observations import (
     anchored_terms,
     build_table,
@@ -41,7 +41,6 @@ class PAConfig:
     lm_lambda0: float = 1e-3
     lm_up: float = 10.0
     lm_down: float = 10.0
-    theta_min: float = 0.0
     refine_rotations: bool = True
 
 
@@ -143,16 +142,12 @@ def select_anchor_view(tracks, n_views, reference_view, centers) -> int | None:
     return None
 
 
-def _floor_sq(theta_min: float) -> float:
-    return max(theta_min, THETA_FLOOR) ** 2
-
-
-def _residuals(table, Rs, Cs, floor_sq, on_degenerate):
+def _residuals(table, Rs, Cs, on_degenerate):
     """One 2-vector per table row (tracks by id, views in track order,
-    anchor-left view skipped); rows of tracks whose anchor theta^2
-    collapsed to ``floor_sq`` are zero."""
+    anchor-left view skipped); rows of tracks whose anchor pair
+    collapsed (:attr:`AnchorTerms.collapsed`) are zero."""
     terms = anchored_terms(table, Rs, Cs)
-    degenerate = terms.theta_sq <= floor_sq
+    degenerate = terms.collapsed
     if on_degenerate == "raise" and degenerate.any():
         k = int(np.argmax(degenerate))
         raise DegenerateBase(
@@ -167,8 +162,7 @@ def _residuals(table, Rs, Cs, floor_sq, on_degenerate):
     return res.reshape(-1), table.track_ids[degenerate].tolist()
 
 
-def pa_residuals(poses, tracks, bases, theta_min: float = 0.0,
-                 on_degenerate: str = "raise"):
+def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
     """Residual vector of the pose-only cost at the given poses.
 
     Depths come from the anchor pair evaluated with the observed (noisy)
@@ -179,7 +173,7 @@ def pa_residuals(poses, tracks, bases, theta_min: float = 0.0,
     """
     Rs, Cs = pose_arrays(poses)
     table = build_table(tracks, bases)
-    return _residuals(table, Rs, Cs, _floor_sq(theta_min), on_degenerate)
+    return _residuals(table, Rs, Cs, on_degenerate)
 
 
 @dataclass(frozen=True)
@@ -234,7 +228,7 @@ def _jacobian_pattern(table, param: PoseParameterization) -> _JacobianPattern:
     )
 
 
-def _jacobian(table, pattern, Rs, Cs, param, floor_sq) -> sp.csr_matrix:
+def _jacobian(table, pattern, Rs, Cs, param) -> sp.csr_matrix:
     """Analytic Jacobian values at (Rs, Cs), filled into ``pattern``.
 
     With Y = depth U + T the feature in the observing view's frame and
@@ -244,7 +238,7 @@ def _jacobian(table, pattern, Rs, Cs, param, floor_sq) -> sp.csr_matrix:
     and T_right.
     """
     terms = anchored_terms(table, Rs, Cs)
-    valid = terms.theta_sq > floor_sq
+    valid = ~terms.collapsed
     inv_sq = np.divide(1.0, terms.theta_sq, out=np.zeros_like(terms.theta_sq), where=valid)
     row_track = table.row_track
     depth = terms.depth[row_track]
@@ -289,8 +283,7 @@ def _jacobian(table, pattern, Rs, Cs, param, floor_sq) -> sp.csr_matrix:
     return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
-def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization,
-                theta_min: float = 0.0) -> sp.csr_matrix:
+def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) -> sp.csr_matrix:
     """Analytic Jacobian of :func:`pa_residuals` at the given poses.
 
     Each residual slot touches at most the anchor-left, anchor-right and
@@ -299,7 +292,7 @@ def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization,
     Rs, Cs = pose_arrays(poses)
     table = build_table(tracks, bases)
     pattern = _jacobian_pattern(table, parameterization)
-    return _jacobian(table, pattern, Rs, Cs, parameterization, _floor_sq(theta_min))
+    return _jacobian(table, pattern, Rs, Cs, parameterization)
 
 
 def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
@@ -316,11 +309,10 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     config = config or PAConfig()
     Rs, Cs = pose_arrays(initial_poses)
     n_views = len(initial_poses)
-    floor_sq = _floor_sq(config.theta_min)
 
     excluded = 0
     if bases is None:
-        bases, degenerate = select_bases(tracks, Rs, config.theta_min)
+        bases, degenerate = select_bases(tracks, Rs)
         excluded = len(degenerate)
     table = build_table(tracks, bases)
 
@@ -333,7 +325,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     )
     pattern = _jacobian_pattern(table, param)
 
-    res, dropped = _residuals(table, Rs, Cs, floor_sq, "drop")
+    res, dropped = _residuals(table, Rs, Cs, "drop")
     cost = float(res @ res)
     if not np.isfinite(cost):
         raise DivergedNumerically(f"initial cost is {cost!r}")
@@ -343,7 +335,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     iterations = 0
 
     while iterations < config.max_iter:
-        J = _jacobian(table, pattern, Rs, Cs, param, floor_sq)
+        J = _jacobian(table, pattern, Rs, Cs, param)
         grad = J.T @ res
         if np.max(np.abs(grad), initial=0.0) <= config.gradient_tol:
             termination = "gradient"
@@ -362,7 +354,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
                 lam *= config.lm_up
                 continue
             Rs_try, Cs_try = param.apply(Rs, Cs, delta)
-            res_try, dropped_try = _residuals(table, Rs_try, Cs_try, floor_sq, "drop")
+            res_try, dropped_try = _residuals(table, Rs_try, Cs_try, "drop")
             cost_try = float(res_try @ res_try)
             if np.isfinite(cost_try) and cost_try < cost:
                 accepted = True

@@ -16,13 +16,16 @@ as a unit quaternion (scalar first); quaternions whose norm is off by
 more than 1e-9 are rejected, never silently renormalized. ``O`` lines
 are the normalized image observations. Optional ``G`` lines carry the
 exact ground-truth pose per view (for evaluation only); if present they
-must cover every view. ``R`` names the reference view.
+must cover every view. ``R`` names the reference view. A view's ``V``
+or ``G`` line, an observation and the ``R`` line may each appear once.
 
 Estimated poses travel between CLI stages in a sibling format:
 
     POSEONLY-POSES 1
     <n_views>
     P <view_id> <qw> <qx> <qy> <qz> <cx> <cy> <cz>
+
+with exactly one ``P`` line per view.
 """
 
 import math
@@ -211,11 +214,15 @@ def read_problem(path) -> SceneProblem:
                 view = int(toks[1])
                 if not 0 <= view < n_views:
                     raise ParseError(f"view id {view} out of range", line=line_no)
+                if gt_centers[view] is not None:
+                    raise ParseError(f"duplicate G line for view {view}", line=line_no)
                 gt_quats[view] = quat_to_rotation(_parse_quat(toks[2:6], line_no))
                 gt_centers[view] = np.array([float(t) for t in toks[6:9]])
             elif tag == "R":
                 if len(toks) != 2:
                     raise ParseError("R line needs the reference view id", line=line_no)
+                if reference_view is not None:
+                    raise ParseError("duplicate R line", line=line_no)
                 reference_view = int(toks[1])
                 if not 0 <= reference_view < n_views:
                     raise ParseError(
@@ -292,6 +299,8 @@ def read_poses(path) -> list:
         n_views = int(raw[1])
     except ValueError:
         raise ParseError("view count must be an integer", line=2)
+    if n_views < 0:
+        raise ParseError(f"negative view count {n_views}", line=2)
     poses = [None] * n_views
     for idx in range(2, len(raw)):
         line_no = idx + 1
@@ -308,6 +317,8 @@ def read_poses(path) -> list:
             raise ParseError(f"bad numeric field ({exc})", line=line_no)
         if not 0 <= view < n_views:
             raise ParseError(f"view id {view} out of range", line=line_no)
+        if poses[view] is not None:
+            raise ParseError(f"duplicate P line for view {view}", line=line_no)
         poses[view] = CameraPose(quat_to_rotation(q), center)
     for view, pose in enumerate(poses):
         if pose is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllPairsDegenerate, DegenerateTriangulation, NegativeDepth
-from .geometry import THETA_FLOOR, Track, cross_rows, homogenize, skew
+from .geometry import Track, cross_rows, homogenize, skew
 from .observations import (
     BaseViewPair,
     anchored_terms,
@@ -56,20 +56,21 @@ class ReconstructionResult:
         return {p.track_id: p.position_w for p in self.points}
 
 
-def _fuse(table, R, C, floor):
+def _fuse(table, R, C):
     """Fused anchor-left depth, theta weight sum, contributing pair count
     and world position of every table track.
 
     Pair (left, i) has theta_i = |X_i x U_i| and signed depth
     a_i . T_i / theta_i^2 with a_i = X_i x (X_i x U_i); the theta-weighted
-    mean over pairs above ``floor`` is a segment sum over each track's rows.
+    mean over the pairs with parallax (:meth:`AnchorTerms.pair_theta`) is
+    a segment sum over each track's rows. A track without such a pair
+    has weight sum 0 and no contributing pairs.
     """
     terms = anchored_terms(table, R, C)
-    thetas = np.linalg.norm(terms.W, axis=1)
-    usable = thetas > floor
-    weights = np.where(usable, thetas, 0.0)
+    weights = terms.pair_theta()
+    usable = weights > 0
     a = cross_rows(terms.X, terms.W)
-    weighted = np.einsum("ki,ki->k", a, terms.T) / np.where(usable, thetas, 1.0)
+    weighted = np.einsum("ki,ki->k", a, terms.T) / np.where(usable, weights, 1.0)
     starts = table.row_start[:-1]
     weight_sum = np.add.reduceat(weights, starts)
     total = np.add.reduceat(np.where(usable, weighted, 0.0), starts)
@@ -79,33 +80,30 @@ def _fuse(table, R, C, floor):
     return fused, weight_sum, contributing, positions
 
 
-def _reconstruct_one(track: Track, base: BaseViewPair, poses, theta_min) -> ReconstructedPoint:
-    floor = max(theta_min, THETA_FLOOR)
+def _reconstruct_one(track: Track, base: BaseViewPair, poses) -> ReconstructedPoint:
     R, C = pose_arrays(poses)
     table = build_table([track], {track.track_id: base})
-    (fused,), (weight_sum,), (contributing,), (position,) = _fuse(table, R, C, floor)
-    if weight_sum <= floor:
+    (fused,), (weight_sum,), (contributing,), (position,) = _fuse(table, R, C)
+    if contributing == 0:
         raise AllPairsDegenerate(f"track {track.track_id}: no pair carries parallax")
     return ReconstructedPoint(
         track.track_id, position, float(fused), float(weight_sum), int(contributing)
     )
 
 
-def weighted_depth(track: Track, base: BaseViewPair, poses, theta_min: float = 0.0):
+def weighted_depth(track: Track, base: BaseViewPair, poses):
     """Parallax-weighted fused depth of the track in its anchor-left view.
 
     Weights are theta / sum(theta) over usable pairs, so they sum to one
     and pairs nearing pure rotation fade out smoothly.
     """
-    point = _reconstruct_one(track, base, poses, theta_min)
+    point = _reconstruct_one(track, base, poses)
     return point.fused_depth, point.weight_sum
 
 
-def reconstruct_point(
-    track: Track, base: BaseViewPair, poses, theta_min: float = 0.0
-) -> ReconstructedPoint:
+def reconstruct_point(track: Track, base: BaseViewPair, poses) -> ReconstructedPoint:
     """Push the fused depth back along the anchor-left ray into the world."""
-    point = _reconstruct_one(track, base, poses, theta_min)
+    point = _reconstruct_one(track, base, poses)
     if point.fused_depth <= 0:
         raise NegativeDepth(
             f"track {track.track_id}: fused depth {point.fused_depth!r} is not positive"
@@ -117,7 +115,6 @@ def reconstruct_all(
     tracks,
     poses,
     bases: dict | None = None,
-    theta_min: float = 0.0,
     min_track_len: int = 2,
 ) -> ReconstructionResult:
     """Reconstruct every track; rejected tracks are reported, not raised.
@@ -128,15 +125,14 @@ def reconstruct_all(
     removes the least-constrained points.
     """
     R, C = pose_arrays(poses)
-    floor = max(theta_min, THETA_FLOOR)
     long_tracks = [t for t in tracks if len(t) >= min_track_len]
     rejected = [(t.track_id, _REASON_SHORT) for t in tracks if len(t) < min_track_len]
-    bases, degenerate = select_bases(long_tracks, R, theta_min, bases)
+    bases, degenerate = select_bases(long_tracks, R, bases)
     rejected += [(tid, _REASON_DEGENERATE) for tid in degenerate]
 
     table = build_table(long_tracks, bases)
-    fused, weight_sum, contributing, positions = _fuse(table, R, C, floor)
-    flat = weight_sum <= floor
+    fused, weight_sum, contributing, positions = _fuse(table, R, C)
+    flat = contributing == 0
     behind = ~flat & (fused <= 0)
     rejected += [(tid, _REASON_DEGENERATE) for tid in table.track_ids[flat].tolist()]
     rejected += [(tid, _REASON_NEGATIVE) for tid in table.track_ids[behind].tolist()]

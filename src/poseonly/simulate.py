@@ -84,7 +84,6 @@ class SceneConfig:
     shell_radius: float = 2.0
     obs_noise_sigma: float = 0.0
     rotation_noise_deg: float = 0.0
-    min_track_len: int = 2
     seed: int = 0
 
     def validate(self):
@@ -102,12 +101,6 @@ class SceneConfig:
             raise ConfigInvalid(f"unknown point cloud {self.point_cloud!r}")
         if self.obs_noise_sigma < 0 or self.rotation_noise_deg < 0:
             raise ConfigInvalid("noise magnitudes must be non-negative")
-        if self.min_track_len < 2:
-            raise ConfigInvalid("min_track_len must be at least 2")
-        if self.min_track_len > self.n_views:
-            raise ConfigInvalid(
-                "min_track_len exceeds n_views; tracks are fully observed"
-            )
         if self.shell_radius <= 0:
             raise ConfigInvalid("shell_radius must be positive")
         if any(e <= 0 for e in self.box_extent):

@@ -130,67 +130,47 @@ class TranslationSystem:
         return self._matrix(np.arange(self.n_views), 3 * self.n_views)
 
 
-def assemble_system(
-    tracks: list,
-    rotations: np.ndarray,
-    reference_view: int,
-    theta_min: float = 0.0,
-    normalize_rows: bool = False,
-) -> TranslationSystem:
+def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) -> TranslationSystem:
     """Assemble the homogeneous system over stacked camera centers.
 
-    Every track's rows come from one pass of the anchored-depth kernel
-    over the observation table (:mod:`poseonly.observations`):
+    Anchors come from one batched selection and every track's rows from
+    one pass of the anchored-depth kernel over the observation table
+    (:mod:`poseonly.observations`):
     ``B = (X_i x U_i) (R_right' a)'`` and ``C = theta^2 [X_i]x R_i``.
 
     Tracks whose every pair is parallax-free are dropped; at least two
     usable tracks are required (a globally rotating-in-place camera set
-    cannot constrain translation at all). A positive ``theta_min`` also
-    drops the rows whose own parallax ``|X_i x U_i|`` falls to it or
-    below (a conditioning knob that also discards the rows that glue
-    rotating-in-place cameras to their partners, so it is off by
-    default), and with them any track left without rows.
-    ``normalize_rows`` divides each track's blocks by the anchor theta^2,
-    exposing the conditioning trade-off; default keeps the natural
-    theta^2 weighting.
+    cannot constrain translation at all). Rows whose own parallax
+    ``|X_i x U_i|`` vanishes are kept: they are what glues a camera that
+    only rotates in place to its partner.
     """
     rotations = np.asarray(rotations, dtype=float)
     n_views = len(rotations)
     if not 0 <= reference_view < n_views:
         raise ValueError(f"reference view {reference_view} out of range")
 
-    bases, _ = select_bases(tracks, rotations, theta_min)
+    bases, _ = select_bases(tracks, rotations)
+    if len(bases) < 2:
+        raise InsufficientParallax(
+            f"only {len(bases)} track(s) carry parallax; need at least 2"
+        )
     table = build_table(tracks, bases)
     terms = anchored_terms(table, rotations)
     row_track = table.row_track
-    keep = np.ones(len(row_track), dtype=bool)
-    if theta_min > 0:
-        keep = np.linalg.norm(terms.W, axis=1) > theta_min
-    usable = np.bincount(row_track[keep], minlength=len(table.track_ids)) > 0
-    if usable.sum() < 2:
-        raise InsufficientParallax(
-            f"only {int(usable.sum())} track(s) carry parallax; need at least 2"
-        )
-
     a_world = np.einsum("tji,tj->ti", rotations[table.right], terms.a)
-    weight = terms.theta_sq
-    if normalize_rows:
-        a_world = a_world / weight[:, None]
-        weight = np.ones_like(weight)
-    row_track = row_track[keep]
-    B = terms.W[keep][:, :, None] * a_world[row_track][:, None, :]
-    C = weight[row_track][:, None, None] * (skew_batch(terms.X[keep]) @ terms.R[keep])
+    B = terms.W[:, :, None] * a_world[row_track][:, None, :]
+    C = terms.theta_sq[row_track][:, None, None] * (skew_batch(terms.X) @ terms.R)
     return TranslationSystem(
         n_views=n_views,
         reference_view=reference_view,
-        row_views=table.row_view[keep],
+        row_views=table.row_view,
         lefts=table.left[row_track],
         rights=table.right[row_track],
         B=B,
         C=C,
-        bases={tid: bases[tid] for tid in table.track_ids[usable].tolist()},
-        probe_views=np.stack((table.left, table.right), axis=1)[usable],
-        probe_a=terms.a[usable],
+        bases={tid: bases[tid] for tid in table.track_ids.tolist()},
+        probe_views=np.stack((table.left, table.right), axis=1),
+        probe_a=terms.a,
         rotations=rotations,
     )
 

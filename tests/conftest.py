@@ -58,10 +58,8 @@ def random_exact_pair(rng):
     return pose_i, pose_j, point, x_i, x_j
 
 
-def solve_problem_centers(problem, **kwargs):
-    system = po.assemble_system(
-        problem.tracks, problem.rotations, problem.reference_view, **kwargs
-    )
+def solve_problem_centers(problem):
+    system = po.assemble_system(problem.tracks, problem.rotations, problem.reference_view)
     return po.solve_translations(system).translations
 
 

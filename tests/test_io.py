@@ -232,6 +232,36 @@ class TestNonFiniteFields:
         assert len(po.read_poses(poses)) == 2
 
 
+class TestRepeatedLines:
+    """A repeated G, R or P line is rejected naming the repeat, as a
+    repeated V or O line is; it never replaces the first one."""
+
+    PROBLEM = TestNonFiniteFields.PROBLEM
+    POSES = TestNonFiniteFields.POSES
+
+    @pytest.mark.parametrize("extra", ["G 0 1.0 0.0 0.0 0.0 5.0 0.0 0.0", "R 1"])
+    def test_problem_repeat_rejected(self, tmp_path, extra):
+        path = tmp_path / "bad.po"
+        path.write_text(self.PROBLEM + extra + "\n")
+        with pytest.raises(ParseError, match="duplicate") as err:
+            po.read_problem(path)
+        assert err.value.line == 10
+
+    def test_poses_repeat_rejected(self, tmp_path):
+        path = tmp_path / "bad.poses"
+        path.write_text(self.POSES + "P 0 1.0 0.0 0.0 0.0 5.0 0.0 0.0\n")
+        with pytest.raises(ParseError, match="duplicate") as err:
+            po.read_poses(path)
+        assert err.value.line == 5
+
+    def test_negative_pose_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.poses"
+        path.write_text("POSEONLY-POSES 1\n-1\n")
+        with pytest.raises(ParseError) as err:
+            po.read_poses(path)
+        assert err.value.line == 2
+
+
 class TestPosesRoundTrip:
     def test_round_trip(self, tmp_path, scene_s1):
         path = tmp_path / "poses.txt"

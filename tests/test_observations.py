@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import poseonly as po
+from poseonly import observations
+from poseonly.errors import AllPairsDegenerate
+from poseonly.geometry import THETA_FLOOR, rotation_about
 from poseonly.observations import anchored_terms, build_table, select_bases
 
 from conftest import make_rng
@@ -81,3 +86,73 @@ class TestKernelAgainstPairOracle:
         assert terms.T is None and terms.depth is None
         # The kernel's theta^2 agrees with the selection's theta.
         assert np.allclose(terms.theta_sq, table.theta**2, rtol=1e-12)
+
+
+class TestBatchedSelection:
+    """One batched ``select_bases`` call against an exhaustive loop over
+    ``pair_geometry`` theta with a lexicographic tie-break."""
+
+    N_VIEWS = 8
+
+    @classmethod
+    def selection_case(cls):
+        rng = make_rng(31)
+        rotations = np.stack(
+            [np.eye(3)] * 3
+            + [rotation_about(a / np.linalg.norm(a), rng.uniform(0.1, 1.0))
+               for a in rng.normal(size=(cls.N_VIEWS - 3, 3))]
+        )
+        tracks = []
+        for length in range(2, cls.N_VIEWS + 1):
+            for _ in range(12):
+                views = np.sort(rng.choice(cls.N_VIEWS, size=length, replace=False))
+                tracks.append(po.Track(len(tracks), views, rng.uniform(-0.5, 0.5, (length, 2))))
+        # Views 0-2 share the identity rotation, so the rays A, B, A give
+        # pairs (0, 1) and (1, 2) exactly equal theta: the tie goes to (0, 1).
+        a, b = [0.1, -0.2], [0.3, 0.25]
+        tie = po.Track(len(tracks), [0, 1, 2], [a, b, a])
+        # Every ray of this track is the rotated image of one direction.
+        direction = np.array([0.2, -0.1, 1.0])
+        cam = rotations @ direction
+        rotation_only = po.Track(len(tracks) + 1, np.arange(cls.N_VIEWS), cam[:, :2] / cam[:, 2:])
+        return rotations, tracks + [tie, rotation_only]
+
+    @staticmethod
+    def oracle(track, poses):
+        best = None
+        for p, q in itertools.combinations(range(len(track)), 2):
+            left, right = int(track.view_ids[p]), int(track.view_ids[q])
+            pair = po.pair_geometry(poses[left], poses[right], track.points[p], track.points[q])
+            if best is None or pair.theta > best[2]:
+                best = (left, right, pair.theta)
+        return best
+
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_matches_oracle(self, budget, monkeypatch):
+        if budget is not None:
+            # Chunks of 16 two-view tracks down to one eight-view track.
+            monkeypatch.setattr(observations, "_TABLE_ENTRIES", budget)
+        rotations, tracks = self.selection_case()
+        poses = [po.CameraPose(R, np.zeros(3)) for R in rotations]
+        preset = {0: po.BaseViewPair(*tracks[0].view_ids[:2].tolist(), 0.5),
+                  50: po.BaseViewPair(7, 7, 0.0)}
+        chosen, degenerate = select_bases(tracks, rotations, preset)
+
+        tie, rotation_only = tracks[-2:]
+        assert degenerate == [rotation_only.track_id]
+        assert (chosen[tie.track_id].left, chosen[tie.track_id].right) == (0, 1)
+        assert chosen[0] is preset[0] and chosen[50] is preset[50]
+        assert set(chosen) == {t.track_id for t in tracks} - {rotation_only.track_id}
+        for track in tracks:
+            if track.track_id in preset:
+                continue
+            left, right, theta = self.oracle(track, poses)
+            if track is rotation_only:
+                assert theta <= THETA_FLOOR
+                with pytest.raises(AllPairsDegenerate):
+                    observations.select_base_views(track, rotations)
+                continue
+            base = chosen[track.track_id]
+            assert (base.left, base.right) == (left, right)
+            assert base.theta == pytest.approx(theta, rel=1e-12)
+            assert observations.select_base_views(track, rotations) == base

@@ -96,14 +96,6 @@ class TestGeneration:
             po.SceneConfig(n_views=5, n_points=5, obs_noise_sigma=-1.0).validate()
         with pytest.raises(ConfigInvalid):
             po.SceneConfig(n_views=2, n_points=5, motion="local_pure_rotation").validate()
-        with pytest.raises(ConfigInvalid):
-            po.SceneConfig(n_views=3, n_points=5, min_track_len=4).validate()
-
-    def test_min_track_len_satisfied(self):
-        prob = po.generate_scene(
-            po.SceneConfig(n_views=5, n_points=10, min_track_len=3, seed=11)
-        )
-        assert all(len(t) >= 3 for t in prob.tracks)
 
 
 class TestObservationNoise:
