@@ -153,7 +153,7 @@ class Track:
             )
         if len(view_ids) != len(points):
             raise ValueError("view_ids and points lengths differ")
-        if np.any(np.diff(view_ids) <= 0):
+        if (view_ids[1:] <= view_ids[:-1]).any():
             raise ValueError(
                 f"track {self.track_id}: view ids must be strictly increasing"
             )

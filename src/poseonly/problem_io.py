@@ -18,6 +18,23 @@ are the normalized image observations. Optional ``G`` lines carry the
 exact ground-truth pose per view (for evaluation only); if present they
 must cover every view. ``R`` names the reference view. A view's ``V``
 or ``G`` line, an observation and the ``R`` line may each appear once.
+Records may come in any order, fields are separated by any whitespace
+and blank lines are skipped; lines end with ``\n``, ``\r\n`` or ``\r``.
+Ids and counts are strict decimal integers (optional sign, ASCII
+digits), so ``3.0`` in an id field is rejected.
+
+Reading: ``O`` records are nearly every line of a problem file, so
+:func:`read_problem` converts them all in one ``numpy.loadtxt`` call over
+the ``O`` lines gathered into one buffer, and checks them as arrays:
+view range, non-finite coordinates and repeated (track, view) pairs,
+the last after one stable (track, view) sort that also yields the
+tracks. The few other lines are read one by one. Each check keeps the
+source line of every row, and the earliest failing line over all checks
+is the one a ``ParseError`` names. A row that does not convert (wrong
+field count, bad number, non-UTF-8 bytes) fails the bulk call; it is
+then found by bisection with the same call on halves of the rows, and
+the array checks run on the rows before it. The counts line is checked
+before anything is sized from it.
 
 Estimated poses travel between CLI stages in a sibling format:
 
@@ -28,6 +45,7 @@ Estimated poses travel between CLI stages in a sibling format:
 with exactly one ``P`` line per view.
 """
 
+import io
 import math
 
 import numpy as np
@@ -37,6 +55,11 @@ from .geometry import CameraPose, Track
 from .simulate import SceneProblem
 
 _QUAT_NORM_TOL = 1e-9
+# One O record; converting the tag too makes loadtxt reject a row with
+# more or fewer than five fields.
+_O_RECORD = np.dtype(
+    [("tag", "S1"), ("track", np.int64), ("view", np.int64), ("x", np.float64), ("y", np.float64)]
+)
 
 
 def quat_to_rotation(q) -> np.ndarray:
@@ -98,6 +121,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _parse_int(token: str) -> int:
+    """A strict decimal integer: the grammar the bulk O conversion applies."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def _parse_quat(tokens, line_no):
     q = np.array([float(t) for t in tokens])
     norm = np.linalg.norm(q)
@@ -127,8 +158,10 @@ def write_problem(path, problem: SceneProblem) -> None:
         q = rotation_to_quat(R)
         lines.append("V " + str(view) + " " + " ".join(_fmt(c) for c in q))
     for track in tracks:
-        for view, (x, y) in zip(track.view_ids, track.points):
-            lines.append(f"O {track.track_id} {view} {_fmt(x)} {_fmt(y)}")
+        # Python ints and floats format several times faster than numpy
+        # scalars, with the same text
+        for view, (x, y) in zip(track.view_ids.tolist(), track.points.tolist()):
+            lines.append(f"O {track.track_id} {view} {x!r} {y!r}")
     if problem.gt_poses is not None:
         for view, pose in enumerate(problem.gt_poses):
             q = rotation_to_quat(pose.rotation)
@@ -142,88 +175,156 @@ def write_problem(path, problem: SceneProblem) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def _line_spans(buf: np.ndarray):
+    """Byte offsets of every line's start and end (its newline or EOF)."""
+    ends = np.flatnonzero(buf == ord("\n"))
+    if len(buf) and buf[-1] != ord("\n"):
+        ends = np.append(ends, len(buf))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    return starts, ends
+
+
+def _gather_lines(data: bytes, starts, ends):
+    """The given lines (in file order) joined by newlines, and the offset
+    of each line in the result plus one past the end. Runs of consecutive
+    lines are copied as one slice."""
+    if not len(starts):
+        return b"", np.zeros(1, dtype=np.int64)
+    run_start = np.flatnonzero(starts[1:] != ends[:-1] + 1) + 1
+    firsts = starts[np.concatenate(([0], run_start))]
+    lasts = ends[np.concatenate((run_start - 1, [len(ends) - 1]))]
+    blob = b"\n".join(data[a:b] for a, b in zip(firsts.tolist(), lasts.tolist()))
+    bounds = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(ends - starts + 1, out=bounds[1:])
+    return blob, bounds
+
+
+def _load_observations(chunk: bytes, n_rows: int) -> np.ndarray:
+    """Convert ``n_rows`` newline-separated O records in one call; raise
+    ValueError unless every row has five fields that convert."""
+    if n_rows == 0:
+        return np.empty(0, dtype=_O_RECORD)
+    # numpy 2 parses an integer field strictly ([+-]digits), so "3.0"
+    # fails the row; numpy 1.x read it through a float with a warning.
+    records = np.loadtxt(
+        io.BytesIO(chunk), dtype=_O_RECORD, comments=None, encoding="utf-8", ndmin=1
+    )
+    if len(records) != n_rows:
+        raise ValueError(f"{len(records)} records from {n_rows} lines")
+    return records
+
+
+def _convert_observations(blob: bytes, bounds):
+    """The O records up to the first row that fails to convert, and that
+    row's index (None when every row converts). A row converts or fails
+    on its own, so the first failure is found by bisection over halves."""
+    n_rows = len(bounds) - 1
+    try:
+        return _load_observations(blob, n_rows), None
+    except ValueError:
+        pass
+    good, bad = 0, n_rows  # rows [0, good) convert; [good, bad) holds a failure
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _load_observations(blob[bounds[good]:bounds[mid]], mid - good)
+            good = mid
+        except ValueError:
+            bad = mid
+    return _load_observations(blob[: bounds[good]], good), good
+
+
+def _earliest(checks, lines) -> list:
+    """A ParseError naming the earliest line of every failed check; each
+    check is a row mask over ``lines`` and a message for a failing row."""
+    defects = []
+    for failed, message in checks:
+        if failed.any():
+            k = np.flatnonzero(failed)[np.argmin(lines[failed])]
+            defects.append(ParseError(message(k), line=int(lines[k])))
+    return defects
+
+
 def read_problem(path) -> SceneProblem:
     """Parse a problem file; malformed input raises ParseError naming the
     first offending line."""
-    with open(path) as handle:
-        raw = handle.read().splitlines()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts, ends = _line_spans(buf)
+    n_lines = len(starts)
 
     def tokens_of(idx):
-        return raw[idx].split()
+        try:
+            return data[starts[idx]:ends[idx]].decode().split()
+        except UnicodeDecodeError:
+            raise ParseError("line is not UTF-8 text", line=idx + 1)
 
-    if not raw:
+    if not n_lines:
         raise ParseError("empty file", line=1)
     head = tokens_of(0)
     if len(head) != 2 or head[0] != "POSEONLY":
         raise ParseError("expected header 'POSEONLY 1'", line=1)
     if head[1] != "1":
         raise VersionUnsupported(f"unsupported problem version {head[1]!r}")
-    if len(raw) < 2:
+    if n_lines < 2:
         raise ParseError("missing counts line", line=2)
     counts = tokens_of(1)
     if len(counts) != 3:
         raise ParseError("counts line needs n_views n_tracks n_obs", line=2)
     try:
-        n_views, n_tracks, n_obs = (int(c) for c in counts)
+        n_views, n_tracks, n_obs = (_parse_int(c) for c in counts)
     except ValueError:
         raise ParseError("counts must be integers", line=2)
+    if min(n_views, n_tracks, n_obs) < 0:
+        raise ParseError("counts must not be negative", line=2)
+    if n_views > n_lines - 2:
+        raise ParseError(
+            f"counts declare {n_views} views but only {n_lines - 2} lines follow", line=2
+        )
 
     rotations = [None] * n_views
     gt_quats = [None] * n_views
     gt_centers = [None] * n_views
-    observations = {}
-    seen = set()
     reference_view = None
 
-    for idx in range(2, len(raw)):
-        line_no = idx + 1
-        toks = tokens_of(idx)
-        if not toks:
-            continue
+    def read_record(toks, line_no):
+        nonlocal reference_view
         tag = toks[0]
         try:
             if tag == "V":
                 if len(toks) != 6:
                     raise ParseError("V line needs view_id qw qx qy qz", line=line_no)
-                view = int(toks[1])
+                view = _parse_int(toks[1])
                 if not 0 <= view < n_views:
                     raise ParseError(f"view id {view} out of range", line=line_no)
                 if rotations[view] is not None:
                     raise ParseError(f"duplicate V line for view {view}", line=line_no)
                 rotations[view] = quat_to_rotation(_parse_quat(toks[2:6], line_no))
-            elif tag == "O":
-                if len(toks) != 5:
-                    raise ParseError("O line needs track_id view_id x y", line=line_no)
-                track_id, view = int(toks[1]), int(toks[2])
-                if not 0 <= view < n_views:
-                    raise ParseError(f"view id {view} out of range", line=line_no)
-                if (track_id, view) in seen:
-                    raise ParseError(
-                        f"duplicate observation of track {track_id} in view {view}",
-                        line=line_no,
-                    )
-                seen.add((track_id, view))
-                observations.setdefault(track_id, []).append(
-                    (view, float(toks[3]), float(toks[4]))
-                )
             elif tag == "G":
                 if len(toks) != 9:
                     raise ParseError(
                         "G line needs view_id qw qx qy qz cx cy cz", line=line_no
                     )
-                view = int(toks[1])
+                view = _parse_int(toks[1])
                 if not 0 <= view < n_views:
                     raise ParseError(f"view id {view} out of range", line=line_no)
                 if gt_centers[view] is not None:
                     raise ParseError(f"duplicate G line for view {view}", line=line_no)
                 gt_quats[view] = quat_to_rotation(_parse_quat(toks[2:6], line_no))
-                gt_centers[view] = np.array([float(t) for t in toks[6:9]])
+                center = np.array([float(t) for t in toks[6:9]])
+                if not np.isfinite(center).all():
+                    raise ParseError("non-finite numeric field", line=line_no)
+                gt_centers[view] = center
             elif tag == "R":
                 if len(toks) != 2:
                     raise ParseError("R line needs the reference view id", line=line_no)
                 if reference_view is not None:
                     raise ParseError("duplicate R line", line=line_no)
-                reference_view = int(toks[1])
+                reference_view = _parse_int(toks[1])
                 if not 0 <= reference_view < n_views:
                     raise ParseError(
                         f"reference view {reference_view} out of range", line=line_no
@@ -233,29 +334,69 @@ def read_problem(path) -> SceneProblem:
         except ValueError as exc:
             raise ParseError(f"bad numeric field ({exc})", line=line_no)
 
-    for view, R in enumerate(rotations):
+    # O records are nearly every line: a line that starts "O " or "O\t" is
+    # one, and goes to the bulk conversion unread. The other lines are
+    # read one by one, up to the first defect; an O record indented by
+    # whitespace is found there and joins the bulk.
+    second = buf[np.minimum(starts + 1, len(buf) - 1)]
+    is_o = (buf[starts] == ord("O")) & ((second == ord(" ")) | (second == ord("\t")))
+    is_o[:2] = False
+    defects = []
+    for idx in (np.flatnonzero(~is_o[2:]) + 2).tolist():
+        try:
+            toks = tokens_of(idx)
+            if toks and toks[0] == "O":
+                is_o[idx] = True
+            elif toks:
+                read_record(toks, idx + 1)
+        except ParseError as exc:
+            defects.append(exc)
+            break
+
+    o_idx = np.flatnonzero(is_o)
+    records, bad_row = _convert_observations(*_gather_lines(data, starts[o_idx], ends[o_idx]))
+    if bad_row is not None:
+        defects.append(ParseError(
+            "O line needs track_id view_id x y: integer ids, float coordinates",
+            line=int(o_idx[bad_row]) + 1,
+        ))
+    order = np.lexsort((records["view"], records["track"]))  # stable: repeats stay in file order
+    track, view = records["track"][order], records["view"][order]
+    points = np.column_stack((records["x"][order], records["y"][order]))
+    lines = o_idx[order] + 1
+    new_track = np.ones(len(track), dtype=bool)
+    new_track[1:] = track[1:] != track[:-1]
+    repeat = np.zeros_like(new_track)
+    repeat[1:] = ~new_track[1:] & (view[1:] == view[:-1])
+    defects += _earliest(
+        [
+            ((view < 0) | (view >= n_views), lambda k: f"view id {view[k]} out of range"),
+            (~np.isfinite(points).all(axis=1), lambda k: "non-finite numeric field"),
+            (repeat, lambda k: f"duplicate observation of track {track[k]} in view {view[k]}"),
+        ],
+        lines,
+    )
+    if defects:
+        raise min(defects, key=lambda exc: exc.line)
+
+    for view_id, R in enumerate(rotations):
         if R is None:
-            raise ParseError(f"missing V line for view {view}")
+            raise ParseError(f"missing V line for view {view_id}")
     if reference_view is None:
         raise ParseError("missing R reference line")
-    if len(observations) != n_tracks:
-        raise ParseError(
-            f"counts declare {n_tracks} tracks but file has {len(observations)}"
-        )
-    if len(seen) != n_obs:
-        raise ParseError(f"counts declare {n_obs} observations but file has {len(seen)}")
-
-    tracks = []
-    for track_id in sorted(observations):
-        rows = sorted(observations[track_id])
-        if len(rows) < 2:
-            raise ParseError(f"track {track_id} has fewer than 2 observations")
-        views = np.array([r[0] for r in rows])
-        pts = np.array([[r[1], r[2]] for r in rows])
-        tracks.append(Track(track_id, views, pts))
-    _require_finite(
-        [t.points for t in tracks] + [c for c in gt_centers if c is not None], raw
-    )
+    first = np.flatnonzero(new_track)
+    if len(first) != n_tracks:
+        raise ParseError(f"counts declare {n_tracks} tracks but file has {len(first)}")
+    if len(track) != n_obs:
+        raise ParseError(f"counts declare {n_obs} observations but file has {len(track)}")
+    bounds = np.append(first, len(track))
+    short = np.flatnonzero(np.diff(bounds) < 2)
+    if short.size:
+        raise ParseError(f"track {track[first[short[0]]]} has fewer than 2 observations")
+    tracks = [
+        Track(track_id, view[a:b], points[a:b])
+        for track_id, a, b in zip(track[first].tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
     has_gt = [c is not None for c in gt_centers]
     gt_poses = None

@@ -37,6 +37,7 @@ from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-e
 # fall back to the Gram-matrix eigenvector path.
 _DENSE_MAX_COLS = 1500
 _DENSE_MAX_ENTRIES = 40_000_000
+_MATRIX_CHUNK = 1 << 13  # blocks expanded at once by TranslationSystem._matrix
 
 # sigma_2 / sigma_1 below this means the null space is not unique.
 # Exact-data rank gaps exceed 1e6 and genuinely ambiguous systems sit
@@ -97,26 +98,30 @@ class TranslationSystem:
         # observing and anchor-left views in that order, 9 per row before
         # the reference-view columns are masked out. Duplicate column
         # indices (observing view == anchor right) are left non-canonical;
-        # downstream sparse ops sum them.
+        # downstream sparse ops sum them. Every row is a run of 3-entry
+        # groups, one per unmasked view slot, so the blocks are expanded
+        # to (block, row, slot) groups and masked a cache-sized chunk at a
+        # time, straight into the output arrays.
         m = len(self.B)
-        D = -(self.B + self.C)
-        data = np.stack((self.B, self.C, D), axis=2)  # (k, row, block, col)
         cols = np.stack(
             (col_of_view[self.rights], col_of_view[self.row_views], col_of_view[self.lefts])
         )  # (3, m)
         valid = cols >= 0
-        starts = 3 * np.where(valid, cols, 0)
-        indices = (
-            starts.T[:, None, :, None] + np.arange(3)[None, None, None, :]
-        ).astype(np.int32)
-        keep = np.broadcast_to(valid.T[:, None, :, None], (m, 3, 3, 3))
-        entries_per_row = np.repeat(3 * valid.sum(axis=0), 3)
         indptr = np.zeros(3 * m + 1, dtype=np.int64)
-        np.cumsum(entries_per_row, out=indptr[1:])
-        keep_flat = keep.reshape(m, 3, 9)
-        data_sel = np.broadcast_to(data, (m, 3, 3, 3)).reshape(m, 3, 9)[keep_flat]
-        idx_sel = np.broadcast_to(indices, (m, 3, 3, 3)).reshape(m, 3, 9)[keep_flat]
-        return sp.csr_matrix((data_sel, idx_sel, indptr), shape=(3 * m, n_cols))
+        np.cumsum(np.repeat(3 * valid.sum(axis=0), 3), out=indptr[1:])
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data_groups, index_groups = data.reshape(-1, 3), indices.reshape(-1, 3)
+        for lo in range(0, m, _MATRIX_CHUNK):
+            hi = min(lo + _MATRIX_CHUNK, m)
+            B, C = self.B[lo:hi], self.C[lo:hi]
+            groups = np.stack((B, C, -(B + C)), axis=2).reshape(-1, 3)
+            keep = np.repeat(valid[:, lo:hi].T, 3, axis=0).reshape(-1)
+            first_col = np.repeat(3 * cols[:, lo:hi].T, 3, axis=0).reshape(-1)[keep]
+            out = slice(indptr[3 * lo] // 3, indptr[3 * hi] // 3)
+            data_groups[out] = groups[keep]
+            index_groups[out] = first_col[:, None] + np.arange(3)
+        return sp.csr_matrix((data, indices, indptr), shape=(3 * m, n_cols))
 
     def reduced_matrix(self) -> sp.csr_matrix:
         """Constraint matrix with the reference view's columns removed."""

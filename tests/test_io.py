@@ -344,3 +344,172 @@ class TestPlyExport:
             toks = line.split()
             [float(t) for t in toks[:3]]
             assert all(0 <= int(t) <= 255 for t in toks[3:])
+
+
+def same_problem(a, b) -> bool:
+    """Bit-identical SceneProblems: rotations, ids, view dtypes, points,
+    ground truth and the reference view."""
+
+    def bits(x):
+        x = np.asarray(x)
+        return x.dtype, x.shape, x.tobytes()
+
+    return (
+        bits(a.rotations) == bits(b.rotations)
+        and a.reference_view == b.reference_view
+        and [t.track_id for t in a.tracks] == [t.track_id for t in b.tracks]
+        and all(
+            bits(s.view_ids) == bits(t.view_ids) and bits(s.points) == bits(t.points)
+            for s, t in zip(a.tracks, b.tracks)
+        )
+        and (a.gt_poses is None) == (b.gt_poses is None)
+        and all(
+            bits(s.rotation) == bits(t.rotation) and bits(s.center) == bits(t.center)
+            for s, t in zip(a.gt_poses or [], b.gt_poses or [])
+        )
+    )
+
+
+class TestReaderContract:
+    """Every defect inside a large block of O records is a ParseError
+    naming its line; with several defects the earliest line is named."""
+
+    N_VIEWS = 6
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=self.N_VIEWS, n_points=400, seed=41, obs_noise_sigma=1e-3)
+        )
+        path = tmp_path_factory.mktemp("contract") / "clean.po"
+        po.write_problem(path, prob)
+        lines = path.read_text().splitlines()
+        o_lines = [k + 1 for k, line in enumerate(lines) if line.startswith("O ")]
+        assert len(o_lines) == 2400
+        return lines, o_lines
+
+    MUTATIONS = {
+        "missing token": lambda t, lines: t[:4],
+        "extra token": lambda t, lines: t + ["0.5"],
+        "float track id": lambda t, lines: [t[0], "3.0"] + t[2:],
+        "float view id": lambda t, lines: t[:2] + ["1.0"] + t[3:],
+        "word track id": lambda t, lines: [t[0], "x"] + t[2:],
+        "view out of range": lambda t, lines: t[:2] + ["6"] + t[3:],
+        "negative view": lambda t, lines: t[:2] + ["-1"] + t[3:],
+        "nan x": lambda t, lines: t[:3] + ["nan", t[4]],
+        "inf y": lambda t, lines: t[:4] + ["-inf"],
+        "unknown tag": lambda t, lines: ["Q"] + t[1:],
+        # the first O record, repeated
+        "duplicate": lambda t, lines: next(x for x in lines if x.startswith("O ")).split(),
+    }
+
+    @staticmethod
+    def mutate(lines, line_no, kind):
+        tokens = lines[line_no - 1].split()
+        out = list(lines)
+        out[line_no - 1] = " ".join(TestReaderContract.MUTATIONS[kind](tokens, lines))
+        return out
+
+    def read(self, tmp_path, lines):
+        path = tmp_path / "bad.po"
+        path.write_text("\n".join(lines) + "\n")
+        return po.read_problem(path)
+
+    @pytest.mark.parametrize("kind", sorted(MUTATIONS))
+    @pytest.mark.parametrize("where", [0, 1234, -1])
+    def test_defect_names_its_line(self, tmp_path, clean, kind, where):
+        lines, o_lines = clean
+        line_no = o_lines[where]
+        if kind == "duplicate" and where == 0:
+            line_no = o_lines[1]
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, self.mutate(lines, line_no, kind))
+        assert err.value.line == line_no
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("nan x", "missing token"),
+            ("missing token", "nan x"),
+            ("duplicate", "float track id"),
+            ("word track id", "duplicate"),
+            ("unknown tag", "view out of range"),
+            ("view out of range", "unknown tag"),
+            ("inf y", "negative view"),
+            ("extra token", "float view id"),
+        ],
+    )
+    def test_two_defects_name_the_earlier(self, tmp_path, clean, first, second):
+        lines, o_lines = clean
+        early, late = o_lines[700], o_lines[1900]
+        mutated = self.mutate(self.mutate(lines, late, second), early, first)
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, mutated)
+        assert err.value.line == early
+
+    @pytest.mark.parametrize("tag", ["V", "O", "G", "R"])
+    @pytest.mark.parametrize("token", ["0_1", "\u0661", "1.0", "1e0"])
+    def test_ids_are_strict_integers(self, tmp_path, clean, tag, token):
+        # Python's int() takes "0_1" and the Arabic-Indic digit one
+        lines, _ = clean
+        k = next(k for k, line in enumerate(lines) if line.startswith(tag + " "))
+        tokens = lines[k].split()
+        tokens[1] = token
+        mutated = lines[:k] + [" ".join(tokens)] + lines[k + 1:]
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, mutated)
+        assert err.value.line == k + 1
+
+    def test_defect_before_the_o_block_wins(self, tmp_path, clean):
+        lines, o_lines = clean
+        mutated = self.mutate(lines, o_lines[5], "float track id")
+        mutated[3] = mutated[3] + " 0.0"  # a V line with 7 fields
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, mutated)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("record", ["V", "O"])
+    def test_non_utf8_bytes_name_the_line(self, tmp_path, clean, record):
+        lines, o_lines = clean
+        line_no = 3 if record == "V" else o_lines[1234]
+        raw = [line.encode() for line in lines]
+        raw[line_no - 1] = raw[line_no - 1][:-1] + b"\xff"
+        path = tmp_path / "bad.po"
+        path.write_bytes(b"\n".join(raw) + b"\n")
+        with pytest.raises(ParseError) as err:
+            po.read_problem(path)
+        assert err.value.line == line_no
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_any_order_and_whitespace_parse_identically(self, tmp_path, clean, newline):
+        lines, _ = clean
+        rng = np.random.default_rng(42)
+        records = [lines[k] for k in rng.permutation(np.arange(2, len(lines)))]
+        messy = lines[:2]
+        for k, record in enumerate(records):
+            seps = rng.choice([" ", "\t", "  ", " \t "], size=len(record.split()) - 1)
+            fields = record.split()
+            text = fields[0] + "".join(s + f for s, f in zip(seps, fields[1:]))
+            messy.append(["", " ", "\t", "  "][k % 4] + text + ["", " ", "\t"][k % 3])
+            if k % 97 == 0:
+                messy.append(["", "   ", "\t"][k % 3])
+        path = tmp_path / "messy.po"
+        path.write_bytes((newline.join(messy) + newline).encode())
+        clean_path = tmp_path / "clean.po"
+        clean_path.write_text("\n".join(lines) + "\n")
+        assert same_problem(po.read_problem(path), po.read_problem(clean_path))
+
+    @pytest.mark.parametrize(
+        "counts", [f"{10**12} 1 2", "-1 1 2", "2 -1 2", "2 1 -2", "4 1 2"]
+    )
+    def test_counts_line_checked_before_use(self, tmp_path, counts):
+        path = tmp_path / "bad.po"
+        path.write_text(
+            "POSEONLY 1\n" + counts + "\n"
+            "V 0 1.0 0.0 0.0 0.0\n"
+            "V 1 1.0 0.0 0.0 0.0\n"
+            "R 0\n"
+        )
+        with pytest.raises(ParseError) as err:
+            po.read_problem(path)
+        assert err.value.line == 2

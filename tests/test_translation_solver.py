@@ -3,6 +3,7 @@ import pytest
 
 import poseonly as po
 from poseonly.errors import AllPairsDegenerate, InsufficientParallax, RankDeficient
+from poseonly import translation_solver
 from poseonly.translation_solver import disambiguate_sign
 
 from conftest import exact_generic_scene, make_rng, solve_problem_centers
@@ -121,6 +122,21 @@ class TestAssembly:
         tracks = [po.Track(k, np.arange(4), obs[k]) for k in range(5)]
         with pytest.raises(InsufficientParallax):
             po.assemble_system(tracks, rotations, 0)
+
+    def test_matrix_arrays_independent_of_chunk(self, monkeypatch):
+        # The reference view sits in every slot (anchor right, observing,
+        # anchor left) of some block, so masked slots cross chunk edges.
+        prob = exact_generic_scene(47, n_views=8, n_points=30)
+        system = po.assemble_system(prob.tracks, prob.rotations, 3)
+        slots = (system.rights, system.row_views, system.lefts)
+        assert all((views == 3).any() for views in slots)
+        whole = [system.reduced_matrix(), system.full_matrix()]
+        monkeypatch.setattr(translation_solver, "_MATRIX_CHUNK", 11)
+        assert len(system.B) % 11  # a partial last chunk
+        for a, b in zip(whole, [system.reduced_matrix(), system.full_matrix()]):
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("n_views", [3, 5, 10])
     def test_full_matrix_rank_law(self, n_views):
