@@ -131,7 +131,8 @@ def _parse_int(token: str) -> int:
 
 def _parse_quat(tokens, line_no):
     q = np.array([float(t) for t in tokens])
-    norm = np.linalg.norm(q)
+    with np.errstate(over="ignore"):  # a field such as 1e300 gives norm inf
+        norm = np.linalg.norm(q)
     if not abs(norm - 1.0) <= _QUAT_NORM_TOL:  # also rejects nan and inf
         raise ParseError(f"quaternion norm {norm!r} is not 1", line=line_no)
     return q / norm
@@ -430,18 +431,33 @@ def write_poses(path, poses) -> None:
 
 
 def read_poses(path) -> list:
-    with open(path) as handle:
-        raw = handle.read().splitlines()
+    """Parse a pose file; malformed input raises ParseError naming the
+    first offending line. Lines break at ``\\n``, ``\\r\\n`` and ``\\r``
+    only, as in :func:`read_problem`."""
+    with open(path, "rb") as handle:
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError("line is not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1)
+    raw = text.split("\n")
+    if raw[-1] == "":
+        raw.pop()
     if not raw or raw[0].split() != ["POSEONLY-POSES", "1"]:
         raise ParseError("expected header 'POSEONLY-POSES 1'", line=1)
     if len(raw) < 2:
         raise ParseError("missing view count", line=2)
     try:
-        n_views = int(raw[1])
+        (count,) = raw[1].split()
+        n_views = _parse_int(count)
     except ValueError:
         raise ParseError("view count must be an integer", line=2)
     if n_views < 0:
         raise ParseError(f"negative view count {n_views}", line=2)
+    if n_views > len(raw) - 2:
+        raise ParseError(
+            f"count declares {n_views} views but only {len(raw) - 2} lines follow", line=2
+        )
     poses = [None] * n_views
     for idx in range(2, len(raw)):
         line_no = idx + 1
@@ -451,7 +467,7 @@ def read_poses(path) -> list:
         if toks[0] != "P" or len(toks) != 9:
             raise ParseError("P line needs view_id qw qx qy qz cx cy cz", line=line_no)
         try:
-            view = int(toks[1])
+            view = _parse_int(toks[1])
             q = _parse_quat(toks[2:6], line_no)
             center = np.array([float(t) for t in toks[6:9]])
         except ValueError as exc:

@@ -37,7 +37,7 @@ from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-e
 # fall back to the Gram-matrix eigenvector path.
 _DENSE_MAX_COLS = 1500
 _DENSE_MAX_ENTRIES = 40_000_000
-_MATRIX_CHUNK = 1 << 13  # blocks expanded at once by TranslationSystem._matrix
+_MATRIX_CHUNK = 1 << 13  # blocks expanded at once by TranslationSystem._matrix and _block_gram
 
 # sigma_2 / sigma_1 below this means the null space is not unique.
 # Exact-data rank gaps exceed 1e6 and genuinely ambiguous systems sit
@@ -180,21 +180,59 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
     )
 
 
-def _pick_backend(matrix: sp.csr_matrix, backend: str) -> str:
-    if backend != "auto":
-        return backend
-    rows, cols = matrix.shape
-    if cols <= _DENSE_MAX_COLS and rows * cols <= _DENSE_MAX_ENTRIES:
-        return "dense"
-    return "normal"
+def _block_gram(system: TranslationSystem) -> np.ndarray:
+    """Gram matrix ``R' R`` of the reduced constraint matrix R, accumulated
+    straight from the 3x3 blocks a chunk at a time; R is never built.
+
+    With ``P = B'B``, ``Q = B'C`` and ``S = C'C`` a block adds ``P``,
+    ``Q``, ``-(P + Q)``, ``S``, ``-(Q' + S)`` and ``P + Q + Q' + S`` to the
+    (right, right), (right, row), (right, left), (row, row), (row, left)
+    and (left, left) view blocks, and their transposes to the mirrored
+    blocks; D = -(B + C) is never multiplied. Only one half of each
+    symmetric pair is scattered (diagonal terms at 1/2), and the Gram
+    matrix is that half plus its transpose. The three terms keyed by
+    (right, left) alone are first summed over each run of equal keys;
+    rows come in track order, so a run is usually one track.
+    """
+    n = system.n_views
+    half = np.zeros((9, n * n))
+    for lo in range(0, len(system.B), _MATRIX_CHUNK):
+        hi = min(lo + _MATRIX_CHUNK, len(system.B))
+        BC = np.concatenate((system.B[lo:hi], system.C[lo:hi]), axis=2)
+        M = BC.transpose(0, 2, 1) @ BC  # [[P, Q], [Q', S]]
+        P, Q, Qt, S = M[:, :3, :3], M[:, :3, 3:], M[:, 3:, :3], M[:, 3:, 3:]
+        right, row, left = system.rights[lo:hi], system.row_views[lo:hi], system.lefts[lo:hi]
+        starts = np.flatnonzero(
+            np.concatenate(([True], (right[1:] != right[:-1]) | (left[1:] != left[:-1])))
+        )
+        Pk, Qk, Sk = (np.add.reduceat(X, starts) for X in (P, Q, S))
+        r, l = right[starts], left[starts]
+        keys = np.concatenate(
+            (r * n + r, r * n + l, l * n + l, right * n + row, row * n + row, row * n + left)
+        )
+        values = np.concatenate(
+            (0.5 * Pk, -(Pk + Qk), Qk + 0.5 * (Pk + Sk), Q, 0.5 * S, -(Qt + S))
+        ).reshape(-1, 9).T.copy()
+        for e in range(9):
+            half[e] += np.bincount(keys, weights=values[e], minlength=n * n)
+    half = half.reshape(3, 3, n, n).transpose(2, 0, 3, 1).reshape(3 * n, 3 * n)
+    keep = np.delete(np.arange(3 * n), np.arange(3) + 3 * system.reference_view)
+    half = half[np.ix_(keep, keep)]
+    return half + half.T
 
 
-def _smallest_singular(matrix: sp.csr_matrix, k: int, backend: str):
-    """k smallest singular values (ascending), the right-singular vector
-    of the smallest one, and the largest singular value."""
-    backend = _pick_backend(matrix, backend)
+def _spectrum(system: TranslationSystem, k: int, backend: str):
+    """At most k smallest singular values (ascending) of the reduced
+    system, the right-singular vector of the smallest one, and the
+    largest singular value. ``auto`` picks the backend from the reduced
+    shape, without building either matrix."""
+    rows, cols = 3 * len(system.B), 3 * (system.n_views - 1)
+    k = min(k, cols)
+    if backend == "auto":
+        small = cols <= _DENSE_MAX_COLS and rows * cols <= _DENSE_MAX_ENTRIES
+        backend = "dense" if small else "normal"
     if backend == "dense":
-        dense = matrix.toarray()
+        dense = system.reduced_matrix().toarray()
         if dense.shape[0] > 3 * dense.shape[1]:
             # A tall matrix shares singular values and right-singular
             # vectors with its QR triangle; factoring first avoids the
@@ -204,10 +242,7 @@ def _smallest_singular(matrix: sp.csr_matrix, k: int, backend: str):
         sigma = s[::-1][:k]
         return np.asarray(sigma), Vt[-1], float(s[0])
     if backend == "normal":
-        # Gram-matrix path: costs O(nnz * cols) to accumulate but never
-        # materializes the tall dense matrix.
-        G = (matrix.T @ matrix).toarray()
-        w, V = np.linalg.eigh(G)
+        w, V = np.linalg.eigh(_block_gram(system))
         sigma = np.sqrt(np.clip(w[:k], 0.0, None))
         sigma_max = float(np.sqrt(max(w[-1], 0.0)))
         return sigma, V[:, 0], sigma_max
@@ -262,9 +297,7 @@ def solve_translations(
     ``rank_ratio_min`` of each other: the null space is then ambiguous
     and any single vector from it would be arbitrary.
     """
-    reduced = system.reduced_matrix()
-    k = min(4, reduced.shape[1])
-    spectrum, null_vec, sigma_max = _smallest_singular(reduced, k, backend)
+    spectrum, null_vec, sigma_max = _spectrum(system, 4, backend)
     if len(spectrum) >= 2:
         ratio = floored_gap(float(spectrum[0]), float(spectrum[1]), sigma_max)
         if ratio < rank_ratio_min:
@@ -290,17 +323,15 @@ def solve_translations(
 
 def singular_spectrum(system: TranslationSystem, k: int, backend: str = "auto") -> np.ndarray:
     """The k smallest singular values of the reduced system, ascending."""
-    reduced = system.reduced_matrix()
-    if k > reduced.shape[1]:
-        raise ValueError(f"k={k} exceeds column count {reduced.shape[1]}")
-    spectrum, _, _ = _smallest_singular(reduced, k, backend)
-    return spectrum
+    cols = 3 * (system.n_views - 1)
+    if k > cols:
+        raise ValueError(f"k={k} exceeds column count {cols}")
+    return _spectrum(system, k, backend)[0]
 
 
 def spectral_gap(system: TranslationSystem, backend: str = "auto") -> float:
     """Floored sigma2/sigma1 of the reduced system; the rank diagnostic."""
-    reduced = system.reduced_matrix()
-    spectrum, _, sigma_max = _smallest_singular(reduced, min(2, reduced.shape[1]), backend)
+    spectrum, _, sigma_max = _spectrum(system, 2, backend)
     if len(spectrum) < 2:
         return float("inf")
     return floored_gap(float(spectrum[0]), float(spectrum[1]), sigma_max)

@@ -4,7 +4,6 @@ Every test records a PASS/FAIL line that the conftest terminal-summary
 hook prints at the end of the run.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -372,13 +371,10 @@ def test_criterion_08_invariances_and_sign():
 
 
 def test_criterion_09_byte_deterministic_eval(tmp_path):
-    env = dict(os.environ, POSEONLY_THREADS="0")
-
     def invoke(args):
         return subprocess.run(
             [sys.executable, "-m", "poseonly.cli", *args],
             capture_output=True,
-            env=env,
             check=False,
         )
 
@@ -401,7 +397,7 @@ def test_criterion_09_byte_deterministic_eval(tmp_path):
     )
     record_acceptance(
         9,
-        "eval output byte-identical across two runs (POSEONLY_THREADS=0)",
+        "eval output byte-identical across two runs",
         passed,
         f"{len(first.stdout)} bytes",
     )

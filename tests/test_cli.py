@@ -195,14 +195,12 @@ class TestErrorPaths:
 
 class TestDeterminism:
     def test_eval_stdout_byte_identical_across_processes(self, tmp_path):
-        env = dict(os.environ, POSEONLY_THREADS="0")
         problem = str(tmp_path / "det.po")
 
         def invoke(args):
             return subprocess.run(
                 [sys.executable, "-m", "poseonly.cli", *args],
                 capture_output=True,
-                env=env,
                 check=False,
             )
 

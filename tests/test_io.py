@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,74 @@ class TestRepeatedLines:
         with pytest.raises(ParseError) as err:
             po.read_poses(path)
         assert err.value.line == 2
+
+
+class TestPosesReader:
+    """The pose reader breaks lines and reads integers as the problem
+    reader does."""
+
+    POSES = TestNonFiniteFields.POSES
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "p.poses"
+        path.write_bytes(text.encode())
+        return po.read_poses(path)
+
+    @pytest.mark.parametrize("token", ["0_1", "\u0661", "1.0", "1e0", ""])
+    def test_view_count_is_a_strict_integer(self, tmp_path, token):
+        lines = self.POSES.split("\n")
+        lines[1] = token
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, "\n".join(lines))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("token", ["0_1", "\u0661", "1.0", "1e0"])
+    def test_view_id_is_a_strict_integer(self, tmp_path, token):
+        lines = self.POSES.split("\n")
+        lines[3] = lines[3].replace("P 1 ", f"P {token} ")
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, "\n".join(lines))
+        assert err.value.line == 4
+
+    def test_view_count_checked_before_use(self, tmp_path):
+        lines = self.POSES.split("\n")
+        lines[1] = "3"
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, "\n".join(lines))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\u2028", "\x1c", "\x85"])
+    def test_only_newlines_break_lines(self, tmp_path, separator):
+        # Each of these is whitespace inside a line, never a line break.
+        clean = self.read(tmp_path, self.POSES)
+        text = self.POSES.replace("P 1 1.0 ", f"P 1{separator}1.0 ")
+        for a, b in zip(self.read(tmp_path, text), clean):
+            assert np.array_equal(a.center, b.center)
+            assert np.array_equal(a.rotation, b.rotation)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_break_lines(self, tmp_path, newline):
+        clean = self.read(tmp_path, self.POSES)
+        back = self.read(tmp_path, self.POSES.replace("\n", newline))
+        assert all(np.array_equal(a.center, b.center) for a, b in zip(back, clean))
+
+    def test_non_utf8_bytes_name_the_line(self, tmp_path):
+        path = tmp_path / "p.poses"
+        path.write_bytes(self.POSES.encode().replace(b"P 1 ", b"P 1\xff "))
+        with pytest.raises(ParseError) as err:
+            po.read_poses(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("value", ["1e300", "-1e300", "1e200"])
+    def test_huge_quaternion_field_rejected_silently(self, tmp_path, value):
+        # Squaring such a field overflows; the reader must reject it
+        # without a numpy RuntimeWarning on stderr.
+        text = self.POSES.replace("P 1 1.0 ", f"P 1 {value} ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="norm") as err:
+                self.read(tmp_path, text)
+        assert err.value.line == 4
 
 
 class TestPosesRoundTrip:

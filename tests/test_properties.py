@@ -1,5 +1,6 @@
-"""Property-based tests: file round-trips and CLI robustness under
-single-token corruption of a valid problem file."""
+"""Property-based tests: file round-trips, CLI robustness under
+single-token corruption of a valid problem file, and the block Gram of
+small random scenes."""
 
 import contextlib
 import io
@@ -11,7 +12,11 @@ import pytest
 
 import poseonly as po
 from poseonly.cli import run_cli
+from poseonly.errors import InsufficientParallax
 from poseonly.problem_io import quat_to_rotation
+from poseonly.simulate import MOTIONS
+
+from test_translation_solver import assert_block_gram_matches
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -138,3 +143,24 @@ def test_single_token_mutation_never_raises(scene_files, data):
                 run_cli(["eval", problem, "--poses", poses]),
             ]
     assert set(codes) <= {0, 1, 2}
+
+
+@settings(max_examples=40)
+@given(
+    motion=st.sampled_from(MOTIONS),
+    n_views=st.integers(3, 7),
+    n_points=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    sigma=st.sampled_from([0.0, 1e-3]),
+    data=st.data(),
+)
+def test_block_gram_matches_csr_gram(motion, n_views, n_points, seed, sigma, data):
+    prob = po.generate_scene(po.SceneConfig(
+        n_views=n_views, n_points=n_points, motion=motion, seed=seed, obs_noise_sigma=sigma
+    ))
+    reference = data.draw(st.integers(0, n_views - 1))
+    try:
+        system = po.assemble_system(prob.tracks, prob.rotations, reference)
+    except InsufficientParallax:
+        hypothesis.assume(False)
+    assert_block_gram_matches(system)

@@ -147,6 +147,67 @@ class TestAssembly:
         assert rank == 3 * n_views - 4
 
 
+def assert_block_gram_matches(system):
+    """The chunked block Gram equals R'R of the reduced CSR matrix R."""
+    R = system.reduced_matrix()
+    expected = (R.T @ R).toarray()
+    gram = translation_solver._block_gram(system)
+    assert gram.shape == expected.shape
+    assert np.abs(gram - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def partial_track_problem(seed, n_views=8, n_points=40):
+    """A noisy generic ring whose tracks each keep a random subset of at
+    least two of their views."""
+    prob = po.add_observation_noise(exact_generic_scene(seed, n_views, n_points), 1e-3, seed)
+    rng = make_rng(seed)
+    for k, track in enumerate(prob.tracks):
+        size = rng.integers(2, len(track) + 1)
+        keep = np.sort(rng.choice(len(track), size=size, replace=False))
+        prob.tracks[k] = po.Track(track.track_id, track.view_ids[keep], track.points[keep])
+    return prob
+
+
+def scene(motion, seed, n_views=6, n_points=20):
+    return po.generate_scene(
+        po.SceneConfig(n_views=n_views, n_points=n_points, motion=motion, seed=seed)
+    )
+
+
+class TestBlockGram:
+    CASES = {
+        "generic ring": lambda: (exact_generic_scene(60), 0),
+        "reference view 5": lambda: (exact_generic_scene(61), 5),
+        "partial tracks": lambda: (partial_track_problem(62), 2),
+        "local pure rotation": lambda: (scene("local_pure_rotation", 63), 0),
+        "collinear": lambda: (scene("collinear", 64), 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_csr_gram(self, case):
+        prob, reference = self.CASES[case]()
+        assert_block_gram_matches(po.assemble_system(prob.tracks, prob.rotations, reference))
+
+    def test_runs_split_across_chunks(self, monkeypatch):
+        # Chunks of 11 blocks cut through tracks, so one track's
+        # (right, left) run is summed in pieces.
+        prob = partial_track_problem(65)
+        system = po.assemble_system(prob.tracks, prob.rotations, 3)
+        monkeypatch.setattr(translation_solver, "_MATRIX_CHUNK", 11)
+        assert_block_gram_matches(system)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_normal_spectrum_matches_dense(self, case):
+        # The Gram path resolves singular values only down to about 1e-8
+        # of sigma_max (the square root of rounding), which is where an
+        # exact scene's sigma_1 sits.
+        prob, reference = self.CASES[case]()
+        system = po.assemble_system(prob.tracks, prob.rotations, reference)
+        dense, _, sigma_max = translation_solver._spectrum(system, 4, "dense")
+        normal = po.singular_spectrum(system, 4, backend="normal")
+        assert np.allclose(normal, dense, rtol=1e-8, atol=1e-7 * sigma_max)
+
+
 class TestSolve:
     def test_s1_exact_recovery(self, scene_s1):
         centers = solve_problem_centers(scene_s1)
