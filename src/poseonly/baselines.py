@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .errors import DisconnectedViewGraph
 from .geometry import skew
-from .translation_solver import floored_gap
+from .translation_solver import SVD_RESOLUTION, floored_gap
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ def direction_translations(directions, rotations, reference_view: int = 0) -> Di
 
     _, s, Vt = np.linalg.svd(mat, full_matrices=False)
     spectrum = s[::-1][: min(3, mat.shape[1])]
-    gap = floored_gap(float(spectrum[0]), float(spectrum[1]), float(s[0])) if len(spectrum) > 1 else float("inf")
+    floor = SVD_RESOLUTION * float(s[0])
+    gap = floored_gap(float(spectrum[0]), float(spectrum[1]), floor) if len(spectrum) > 1 else float("inf")
     translations = np.zeros((n, 3))
     translations[others] = Vt[-1].reshape(-1, 3)
 

@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("problem")
     solve.add_argument("-o", "--output", default=None,
                        help="poses output (default: <problem>.poses)")
-    solve.add_argument("--backend", default="auto", choices=("auto", "dense", "normal"))
 
     pa = sub.add_parser("pa", help="pose-only nonlinear refinement")
     pa.add_argument("problem")
@@ -136,7 +135,7 @@ def _cmd_solve(args) -> int:
     problem = problem_io.read_problem(args.problem)
     start = time.perf_counter()
     system = assemble_system(problem.tracks, problem.rotations, problem.reference_view)
-    solution = solve_translations(system, backend=args.backend)
+    solution = solve_translations(system)
     elapsed = (time.perf_counter() - start) * 1e3
     out = args.output or _default_out(args.problem, ".poses")
     poses = [

@@ -121,8 +121,7 @@ class EvalReport:
     runtime_ms: dict = field(default_factory=dict)
 
 
-def evaluate_poses(problem, est_poses, min_track_len: int = 2,
-                   backend: str = "auto") -> EvalReport:
+def evaluate_poses(problem, est_poses, min_track_len: int = 2) -> EvalReport:
     """Full evaluation of estimated poses on a problem.
 
     Reconstructs the scene analytically from the estimated poses and
@@ -134,7 +133,7 @@ def evaluate_poses(problem, est_poses, min_track_len: int = 2,
 
     start = time.perf_counter()
     system = assemble_system(problem.tracks, problem.rotations, problem.reference_view)
-    singular_gap = spectral_gap(system, backend)
+    singular_gap = spectral_gap(system)
     timings["assemble_spectrum"] = (time.perf_counter() - start) * 1e3
 
     start = time.perf_counter()

@@ -32,15 +32,18 @@ from .observations import (
     select_bases,
 )
 
+# Levenberg-Marquardt damping: the initial lambda, and the factors it is
+# raised by after a rejected step and lowered by after an accepted one.
+_LM_LAMBDA0 = 1e-3
+_LM_UP = 10.0
+_LM_DOWN = 10.0
+
 
 @dataclass(frozen=True)
 class PAConfig:
     max_iter: int = 100
     gradient_tol: float = 1e-10
     step_tol: float = 1e-12
-    lm_lambda0: float = 1e-3
-    lm_up: float = 10.0
-    lm_down: float = 10.0
     refine_rotations: bool = True
 
 
@@ -296,8 +299,7 @@ def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) ->
 
 
 def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
-                bases: dict | None = None, reference_view: int = 0,
-                anchor_view: int | None = None):
+                reference_view: int = 0):
     """Levenberg-Marquardt refinement of camera poses.
 
     Anchor pairs are selected once from the initial poses and frozen for
@@ -310,15 +312,11 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     Rs, Cs = pose_arrays(initial_poses)
     n_views = len(initial_poses)
 
-    excluded = 0
-    if bases is None:
-        bases, degenerate = select_bases(tracks, Rs)
-        excluded = len(degenerate)
+    bases, degenerate = select_bases(tracks, Rs)
     table = build_table(tracks, bases)
 
-    if anchor_view is None:
-        used = [t for t in tracks if t.track_id in bases]
-        anchor_view = select_anchor_view(used, n_views, reference_view, Cs)
+    used = [t for t in tracks if t.track_id in bases]
+    anchor_view = select_anchor_view(used, n_views, reference_view, Cs)
     radius = float(np.linalg.norm(Cs[anchor_view])) if anchor_view is not None else None
     param = PoseParameterization(
         n_views, reference_view, anchor_view, config.refine_rotations, radius
@@ -330,7 +328,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     if not np.isfinite(cost):
         raise DivergedNumerically(f"initial cost is {cost!r}")
     history = [cost]
-    lam = config.lm_lambda0
+    lam = _LM_LAMBDA0
     termination = "max_iter"
     iterations = 0
 
@@ -351,7 +349,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
                 factor = scipy.linalg.cho_factor(H)
                 delta = scipy.linalg.cho_solve(factor, -grad)
             except scipy.linalg.LinAlgError:
-                lam *= config.lm_up
+                lam *= _LM_UP
                 continue
             Rs_try, Cs_try = param.apply(Rs, Cs, delta)
             res_try, dropped_try = _residuals(table, Rs_try, Cs_try, "drop")
@@ -359,7 +357,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
             if np.isfinite(cost_try) and cost_try < cost:
                 accepted = True
                 break
-            lam *= config.lm_up
+            lam *= _LM_UP
         if not accepted:
             termination = "step"
             break
@@ -367,7 +365,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
         Rs, Cs = Rs_try, Cs_try
         res, dropped, cost = res_try, dropped_try, cost_try
         history.append(cost)
-        lam = max(lam / config.lm_down, 1e-15)
+        lam = max(lam / _LM_DOWN, 1e-15)
         iterations += 1
         if float(np.linalg.norm(delta)) <= config.step_tol:
             termination = "step"
@@ -381,7 +379,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
         cost_history=history,
         converged=termination in ("gradient", "step"),
         termination=termination,
-        dropped_tracks=excluded + len(dropped),
+        dropped_tracks=len(degenerate) + len(dropped),
     )
     return poses, report
 

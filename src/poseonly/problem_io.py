@@ -138,18 +138,6 @@ def _parse_quat(tokens, line_no):
     return q / norm
 
 
-def _require_finite(arrays, raw) -> None:
-    """Reject non-finite numbers; the parsed arrays are checked at once
-    and the lines are rescanned only to name the first offending one.
-    Every line past the header has already parsed, so each field after
-    its tag is a number."""
-    if all(np.isfinite(a).all() for a in arrays):
-        return
-    for idx in range(2, len(raw)):
-        if not all(math.isfinite(float(t)) for t in raw[idx].split()[1:]):
-            raise ParseError("non-finite numeric field", line=idx + 1)
-
-
 def write_problem(path, problem: SceneProblem) -> None:
     """Serialize a problem; every numeric field keeps full precision."""
     tracks = sorted(problem.tracks, key=lambda t: t.track_id)
@@ -476,22 +464,19 @@ def read_poses(path) -> list:
             raise ParseError(f"view id {view} out of range", line=line_no)
         if poses[view] is not None:
             raise ParseError(f"duplicate P line for view {view}", line=line_no)
+        if not np.isfinite(center).all():
+            raise ParseError("non-finite numeric field", line=line_no)
         poses[view] = CameraPose(quat_to_rotation(q), center)
     for view, pose in enumerate(poses):
         if pose is None:
             raise ParseError(f"missing P line for view {view}")
-    _require_finite([p.center for p in poses], raw)
     return poses
 
 
 def export_ply(points, camera_centers, path) -> None:
-    """ASCII PLY with reconstructed points in white and cameras in red.
-
-    ``points`` may be ReconstructedPoint objects or raw 3-vectors.
-    """
-    coords = []
-    for p in points:
-        coords.append(np.asarray(getattr(p, "position_w", p), dtype=float))
+    """ASCII PLY with reconstructed points (ReconstructedPoint objects)
+    in white and cameras in red."""
+    coords = [p.position_w for p in points]
     centers = [np.asarray(c, dtype=float) for c in camera_centers]
     total = len(coords) + len(centers)
     lines = [

@@ -25,6 +25,9 @@ from .geometry import (
 
 MOTIONS = ("generic_ring", "collinear", "local_pure_rotation", "loop_closure")
 POINT_CLOUDS = ("box", "shell")
+# The cameras aim at this box, which holds the "box" point cloud.
+_BOX_CENTER = np.zeros(3)
+_BOX_EXTENT = np.array([4.0, 4.0, 4.0])
 
 # Points must keep at least this depth in every view; guards against
 # features grazing a camera plane and blowing up normalized coordinates.
@@ -79,8 +82,6 @@ class SceneConfig:
     n_points: int
     motion: str = "generic_ring"
     point_cloud: str = "box"
-    box_center: tuple = (0.0, 0.0, 0.0)
-    box_extent: tuple = (4.0, 4.0, 4.0)
     shell_radius: float = 2.0
     obs_noise_sigma: float = 0.0
     rotation_noise_deg: float = 0.0
@@ -103,8 +104,6 @@ class SceneConfig:
             raise ConfigInvalid("noise magnitudes must be non-negative")
         if self.shell_radius <= 0:
             raise ConfigInvalid("shell_radius must be positive")
-        if any(e <= 0 for e in self.box_extent):
-            raise ConfigInvalid("box_extent components must be positive")
 
 
 @dataclass
@@ -142,7 +141,6 @@ class SceneProblem:
 
 def _camera_centers(config: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     n = config.n_views
-    cloud_center = np.asarray(config.box_center, dtype=float)
     ring_radius = 8.0
     if config.motion == "generic_ring":
         phi = 2.0 * np.pi * np.arange(n) / n + 0.15 * gaussian(rng, n)
@@ -150,19 +148,19 @@ def _camera_centers(config: SceneConfig, rng: np.random.Generator) -> np.ndarray
             [ring_radius * np.cos(phi), ring_radius * np.sin(phi), 0.5 * gaussian(rng, n)],
             axis=1,
         )
-        return centers + cloud_center
+        return centers + _BOX_CENTER
     if config.motion == "loop_closure":
         # Exact closed circle traversed once in view order.
         phi = 2.0 * np.pi * np.arange(n) / n
         centers = np.stack(
             [ring_radius * np.cos(phi), ring_radius * np.sin(phi), np.zeros(n)], axis=1
         )
-        return centers + cloud_center
+        return centers + _BOX_CENTER
     if config.motion == "collinear":
         # All centers exactly on one line, sideways to the viewing axis.
         offsets = np.arange(n) - (n - 1) / 2.0
         offsets = offsets + 0.3 * (rng.random(n) - 0.5)  # stays strictly increasing
-        line_origin = cloud_center + np.array([0.0, 0.0, -ring_radius])
+        line_origin = _BOX_CENTER + np.array([0.0, 0.0, -ring_radius])
         centers = line_origin + offsets[:, None] * np.array([1.0, 0.0, 0.0])
         return centers
     if config.motion == "local_pure_rotation":
@@ -170,34 +168,31 @@ def _camera_centers(config: SceneConfig, rng: np.random.Generator) -> np.ndarray
         ring = np.stack(
             [ring_radius * np.cos(phi), ring_radius * np.sin(phi), np.zeros(n - 1)],
             axis=1,
-        ) + cloud_center
+        ) + _BOX_CENTER
         # Views 0 and 1 share the first ring position exactly.
         return np.vstack([ring[0], ring])
     raise ConfigInvalid(f"unknown motion {config.motion!r}")
 
 
 def _aim_rotations(config, centers, rng) -> np.ndarray:
-    cloud_center = np.asarray(config.box_center, dtype=float)
-    scale = max(np.linalg.norm(config.box_extent), config.shell_radius)
+    scale = max(np.linalg.norm(_BOX_EXTENT), config.shell_radius)
     # Stronger aim scatter for co-located views so their rotations differ.
     wobble = np.full(len(centers), 0.05 * scale)
     if config.motion == "local_pure_rotation":
         wobble[:2] = 0.4 * scale
-    targets = cloud_center + wobble[:, None] * gaussian(rng, (len(centers), 3))
+    targets = _BOX_CENTER + wobble[:, None] * gaussian(rng, (len(centers), 3))
     return np.stack(
         [look_at_rotation(c, t) for c, t in zip(centers, targets)]
     )
 
 
 def _sample_points(config, rng, count) -> np.ndarray:
-    center = np.asarray(config.box_center, dtype=float)
     if config.point_cloud == "box":
-        extent = np.asarray(config.box_extent, dtype=float)
-        return center + (rng.random((count, 3)) - 0.5) * extent
+        return _BOX_CENTER + (rng.random((count, 3)) - 0.5) * _BOX_EXTENT
     directions = gaussian(rng, (count, 3))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms < 1e-12] = 1.0
-    return center + config.shell_radius * directions / norms
+    return _BOX_CENTER + config.shell_radius * directions / norms
 
 
 def generate_scene(config: SceneConfig) -> SceneProblem:

@@ -16,6 +16,12 @@ fixing a reference view's center to zero) is the global translation, up
 to sign and scale. The formulation needs no relative translations, which
 is what keeps it well-posed under collinear motion and under views that
 only rotate in place.
+
+The null vector and the spectrum come from QR+SVD of the reduced matrix
+while it is small, and from an eigensolve of its Gram matrix, built
+straight from the blocks, beyond that; the reduced shape alone decides
+(:func:`_spectrum`), and each way floors the rank test at its own
+resolution.
 """
 
 from dataclasses import dataclass
@@ -37,7 +43,9 @@ from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-e
 # fall back to the Gram-matrix eigenvector path.
 _DENSE_MAX_COLS = 1500
 _DENSE_MAX_ENTRIES = 40_000_000
-_MATRIX_CHUNK = 1 << 13  # blocks expanded at once by TranslationSystem._matrix and _block_gram
+_MATRIX_CHUNK = 1 << 13  # blocks expanded at once by _block_gram
+# Relative resolution of the dense SVD's singular values.
+SVD_RESOLUTION = 1e-14
 
 # sigma_2 / sigma_1 below this means the null space is not unique.
 # Exact-data rank gaps exceed 1e6 and genuinely ambiguous systems sit
@@ -100,28 +108,19 @@ class TranslationSystem:
         # indices (observing view == anchor right) are left non-canonical;
         # downstream sparse ops sum them. Every row is a run of 3-entry
         # groups, one per unmasked view slot, so the blocks are expanded
-        # to (block, row, slot) groups and masked a cache-sized chunk at a
-        # time, straight into the output arrays.
-        m = len(self.B)
-        cols = np.stack(
-            (col_of_view[self.rights], col_of_view[self.row_views], col_of_view[self.lefts])
-        )  # (3, m)
+        # to (block, row, slot) groups and the masked slots dropped.
+        cols = col_of_view[np.stack((self.rights, self.row_views, self.lefts), axis=1)]  # (m, 3)
         valid = cols >= 0
-        indptr = np.zeros(3 * m + 1, dtype=np.int64)
-        np.cumsum(np.repeat(3 * valid.sum(axis=0), 3), out=indptr[1:])
-        data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data_groups, index_groups = data.reshape(-1, 3), indices.reshape(-1, 3)
-        for lo in range(0, m, _MATRIX_CHUNK):
-            hi = min(lo + _MATRIX_CHUNK, m)
-            B, C = self.B[lo:hi], self.C[lo:hi]
-            groups = np.stack((B, C, -(B + C)), axis=2).reshape(-1, 3)
-            keep = np.repeat(valid[:, lo:hi].T, 3, axis=0).reshape(-1)
-            first_col = np.repeat(3 * cols[:, lo:hi].T, 3, axis=0).reshape(-1)[keep]
-            out = slice(indptr[3 * lo] // 3, indptr[3 * hi] // 3)
-            data_groups[out] = groups[keep]
-            index_groups[out] = first_col[:, None] + np.arange(3)
-        return sp.csr_matrix((data, indices, indptr), shape=(3 * m, n_cols))
+        indptr = np.zeros(3 * len(cols) + 1, dtype=np.int64)
+        np.cumsum(np.repeat(3 * np.count_nonzero(valid, axis=1), 3), out=indptr[1:])
+        keep = np.repeat(valid, 3, axis=0).reshape(-1)
+        groups = np.stack((self.B, self.C, -(self.B + self.C)), axis=2).reshape(-1, 3)
+        first_col = np.compress(keep, np.repeat(3 * cols.astype(np.int32), 3, axis=0))
+        indices = first_col[:, None] + np.arange(3, dtype=np.int32)
+        data = np.compress(keep, groups, axis=0)
+        return sp.csr_matrix(
+            (data.reshape(-1), indices.reshape(-1), indptr), shape=(len(indptr) - 1, n_cols)
+        )
 
     def reduced_matrix(self) -> sp.csr_matrix:
         """Constraint matrix with the reference view's columns removed."""
@@ -221,17 +220,22 @@ def _block_gram(system: TranslationSystem) -> np.ndarray:
     return half + half.T
 
 
-def _spectrum(system: TranslationSystem, k: int, backend: str):
+def _spectrum(system: TranslationSystem, k: int):
     """At most k smallest singular values (ascending) of the reduced
     system, the right-singular vector of the smallest one, and the
-    largest singular value. ``auto`` picks the backend from the reduced
-    shape, without building either matrix."""
+    resolution floor of the path that computed them.
+
+    The reduced shape alone picks the path, without building either
+    matrix. Up to ``_DENSE_MAX_COLS`` columns and ``_DENSE_MAX_ENTRIES``
+    entries, QR then SVD of the dense matrix resolves singular values
+    down to ``SVD_RESOLUTION`` of sigma_max. Larger systems take the
+    eigenvectors of the block Gram matrix R'R; ``eigh`` resolves its
+    eigenvalues only to about ``cols * eps`` of sigma_max^2, so singular
+    values below ``sqrt(cols * eps)`` of sigma_max are rounding noise.
+    """
     rows, cols = 3 * len(system.B), 3 * (system.n_views - 1)
     k = min(k, cols)
-    if backend == "auto":
-        small = cols <= _DENSE_MAX_COLS and rows * cols <= _DENSE_MAX_ENTRIES
-        backend = "dense" if small else "normal"
-    if backend == "dense":
+    if cols <= _DENSE_MAX_COLS and rows * cols <= _DENSE_MAX_ENTRIES:
         dense = system.reduced_matrix().toarray()
         if dense.shape[0] > 3 * dense.shape[1]:
             # A tall matrix shares singular values and right-singular
@@ -239,26 +243,23 @@ def _spectrum(system: TranslationSystem, k: int, backend: str):
             # tall left factor entirely.
             dense = np.linalg.qr(dense, mode="r")
         _, s, Vt = np.linalg.svd(dense, full_matrices=False)
-        sigma = s[::-1][:k]
-        return np.asarray(sigma), Vt[-1], float(s[0])
-    if backend == "normal":
-        w, V = np.linalg.eigh(_block_gram(system))
-        sigma = np.sqrt(np.clip(w[:k], 0.0, None))
-        sigma_max = float(np.sqrt(max(w[-1], 0.0)))
-        return sigma, V[:, 0], sigma_max
-    raise ValueError(f"unknown backend {backend!r}")
+        return s[::-1][:k], Vt[-1], SVD_RESOLUTION * float(s[0])
+    w, V = np.linalg.eigh(_block_gram(system))
+    sigma = np.sqrt(np.clip(w[:k], 0.0, None))
+    sigma_max = float(np.sqrt(max(w[-1], 0.0)))
+    return sigma, V[:, 0], float(np.sqrt(cols * np.finfo(float).eps)) * sigma_max
 
 
-def floored_gap(sigma_1: float, sigma_2: float, sigma_max: float) -> float:
-    """sigma2/sigma1 with both values floored at the numerical noise
-    level of the factorization (~1e-14 of sigma_max).
+def floored_gap(sigma_1: float, sigma_2: float, floor: float) -> float:
+    """sigma2/sigma1 with both values floored at the resolution ``floor``
+    of the factorization that computed them.
 
     Singular values below that floor are indistinguishable from exact
     zeros, and the raw ratio of two rounding-level zeros is meaningless;
     flooring makes the gap test stable: a system with >= 2 true zeros
     reports a gap near 1, a well-posed one reports a huge gap.
     """
-    floor = max(1e-14 * sigma_max, 1e-300)
+    floor = max(floor, 1e-300)
     return max(sigma_2, floor) / max(sigma_1, floor)
 
 
@@ -286,23 +287,19 @@ def disambiguate_sign(translations: np.ndarray, system: TranslationSystem):
     return translations, (pos, neg)
 
 
-def solve_translations(
-    system: TranslationSystem,
-    backend: str = "auto",
-    rank_ratio_min: float = RANK_RATIO_MIN,
-) -> TranslationSolution:
+def solve_translations(system: TranslationSystem) -> TranslationSolution:
     """Solve for camera centers as the reduced system's null vector.
 
     Raises RankDeficient when the two smallest singular values are within
-    ``rank_ratio_min`` of each other: the null space is then ambiguous
+    ``RANK_RATIO_MIN`` of each other: the null space is then ambiguous
     and any single vector from it would be arbitrary.
     """
-    spectrum, null_vec, sigma_max = _spectrum(system, 4, backend)
+    spectrum, null_vec, floor = _spectrum(system, 4)
     if len(spectrum) >= 2:
-        ratio = floored_gap(float(spectrum[0]), float(spectrum[1]), sigma_max)
-        if ratio < rank_ratio_min:
+        ratio = floored_gap(float(spectrum[0]), float(spectrum[1]), floor)
+        if ratio < RANK_RATIO_MIN:
             raise RankDeficient(
-                f"singular gap sigma2/sigma1 = {ratio:.3g} < {rank_ratio_min:g}"
+                f"singular gap sigma2/sigma1 = {ratio:.3g} < {RANK_RATIO_MIN:g}"
             )
 
     n = system.n_views
@@ -321,17 +318,17 @@ def solve_translations(
     )
 
 
-def singular_spectrum(system: TranslationSystem, k: int, backend: str = "auto") -> np.ndarray:
+def singular_spectrum(system: TranslationSystem, k: int) -> np.ndarray:
     """The k smallest singular values of the reduced system, ascending."""
     cols = 3 * (system.n_views - 1)
     if k > cols:
         raise ValueError(f"k={k} exceeds column count {cols}")
-    return _spectrum(system, k, backend)[0]
+    return _spectrum(system, k)[0]
 
 
-def spectral_gap(system: TranslationSystem, backend: str = "auto") -> float:
+def spectral_gap(system: TranslationSystem) -> float:
     """Floored sigma2/sigma1 of the reduced system; the rank diagnostic."""
-    spectrum, _, sigma_max = _spectrum(system, 2, backend)
+    spectrum, _, floor = _spectrum(system, 2)
     if len(spectrum) < 2:
         return float("inf")
-    return floored_gap(float(spectrum[0]), float(spectrum[1]), sigma_max)
+    return floored_gap(float(spectrum[0]), float(spectrum[1]), floor)

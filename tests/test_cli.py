@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,8 +75,8 @@ class TestPipeline:
             capsys,
         )
         assert code == 0
-        assert open(ply).readline().strip() == "ply"
-        assert len(open(pts).readlines()) == 30
+        assert Path(ply).read_text().splitlines()[0].strip() == "ply"
+        assert len(Path(pts).read_text().splitlines()) == 30
 
         code, out, _ = run(
             ["eval", problem, "--poses", str(tmp_path / "refined.poses")], capsys
@@ -152,7 +153,7 @@ class TestErrorPaths:
         assert "InsufficientParallax" in err
 
     def test_nan_quaternion_exit_1(self, tmp_path, s1_file, capsys):
-        lines = open(s1_file).read().splitlines()
+        lines = Path(s1_file).read_text().splitlines()
         k = next(i for i, line in enumerate(lines) if line.startswith("V 1 "))
         lines[k] = "V 1 nan 0.0 0.0 0.0"
         bad = tmp_path / "nanquat.po"

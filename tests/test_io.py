@@ -226,6 +226,18 @@ class TestNonFiniteFields:
             po.read_poses(path)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("line_4", ["P 0 1.0 0.0 0.0 0.0 5.0 0.0 0.0", ""])
+    def test_poses_center_named_before_later_defects(self, tmp_path, line_4):
+        # A repeated P line or a missing view after a non-finite center
+        # does not hide it: the earliest offending line is named.
+        lines = self.mutated(self.POSES, 3, 6, "nan").splitlines()
+        lines[3] = line_4
+        path = tmp_path / "bad.poses"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            po.read_poses(path)
+        assert err.value.line == 3
+
     def test_unmutated_files_parse(self, tmp_path):
         problem, poses = tmp_path / "ok.po", tmp_path / "ok.poses"
         problem.write_text(self.PROBLEM)

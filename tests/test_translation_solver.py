@@ -123,21 +123,6 @@ class TestAssembly:
         with pytest.raises(InsufficientParallax):
             po.assemble_system(tracks, rotations, 0)
 
-    def test_matrix_arrays_independent_of_chunk(self, monkeypatch):
-        # The reference view sits in every slot (anchor right, observing,
-        # anchor left) of some block, so masked slots cross chunk edges.
-        prob = exact_generic_scene(47, n_views=8, n_points=30)
-        system = po.assemble_system(prob.tracks, prob.rotations, 3)
-        slots = (system.rights, system.row_views, system.lefts)
-        assert all((views == 3).any() for views in slots)
-        whole = [system.reduced_matrix(), system.full_matrix()]
-        monkeypatch.setattr(translation_solver, "_MATRIX_CHUNK", 11)
-        assert len(system.B) % 11  # a partial last chunk
-        for a, b in zip(whole, [system.reduced_matrix(), system.full_matrix()]):
-            for name in ("data", "indices", "indptr"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
     @pytest.mark.parametrize("n_views", [3, 5, 10])
     def test_full_matrix_rank_law(self, n_views):
         prob = exact_generic_scene(40 + n_views, n_views=n_views, n_points=2)
@@ -197,14 +182,16 @@ class TestBlockGram:
         assert_block_gram_matches(system)
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_normal_spectrum_matches_dense(self, case):
+    def test_normal_spectrum_matches_dense(self, case, monkeypatch):
         # The Gram path resolves singular values only down to about 1e-8
         # of sigma_max (the square root of rounding), which is where an
         # exact scene's sigma_1 sits.
         prob, reference = self.CASES[case]()
         system = po.assemble_system(prob.tracks, prob.rotations, reference)
-        dense, _, sigma_max = translation_solver._spectrum(system, 4, "dense")
-        normal = po.singular_spectrum(system, 4, backend="normal")
+        dense = po.singular_spectrum(system, 4)
+        sigma_max = np.linalg.norm(system.reduced_matrix().toarray(), 2)
+        monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", 0)
+        normal = po.singular_spectrum(system, 4)
         assert np.allclose(normal, dense, rtol=1e-8, atol=1e-7 * sigma_max)
 
 
@@ -257,6 +244,18 @@ class TestSolve:
         with pytest.raises(RankDeficient):
             po.solve_translations(system)
 
+    def test_rank_deficient_raises_on_gram_path(self, scene_s1, monkeypatch):
+        # eigh on the Gram matrix leaves the two zero singular values of
+        # the duplicated track near 1e-8 of sigma_max, far above the SVD
+        # floor; only the Gram path's own floor shows them as zeros.
+        t0 = scene_s1.tracks[0]
+        tracks = [t0, po.Track(1, t0.view_ids, t0.points.copy())]
+        system = po.assemble_system(tracks, scene_s1.rotations, 0)
+        monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", 0)
+        with pytest.raises(RankDeficient):
+            po.solve_translations(system)
+        assert po.spectral_gap(system) < translation_solver.RANK_RATIO_MIN
+
     def test_gauge_reference_change(self):
         prob = exact_generic_scene(77, n_views=7, n_points=25)
         c0 = solve_problem_centers(prob)
@@ -275,22 +274,43 @@ class TestSolve:
         sol2 = solve_problem_centers(prob2)
         assert np.max(np.abs(sol1 - sol2)) < 1e-12
 
-    def test_determinism_bitwise(self):
+    def test_determinism_bitwise(self, monkeypatch):
         prob = exact_generic_scene(79, n_views=6, n_points=20)
         system_a = po.assemble_system(prob.tracks, prob.rotations, 0)
         system_b = po.assemble_system(prob.tracks, prob.rotations, 0)
         assert np.array_equal(system_a.row_views, system_b.row_views)
         assert np.array_equal(system_a.B, system_b.B)
         assert np.array_equal(system_a.C, system_b.C)
-        sol_a = po.solve_translations(system_a, backend="dense")
-        sol_b = po.solve_translations(system_b, backend="dense")
-        assert np.array_equal(sol_a.translations, sol_b.translations)
+        for dense_max_cols in (translation_solver._DENSE_MAX_COLS, 0):  # dense, then Gram
+            monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", dense_max_cols)
+            sol_a = po.solve_translations(system_a)
+            sol_b = po.solve_translations(system_b)
+            assert np.array_equal(sol_a.translations, sol_b.translations)
 
-    def test_normal_backend_matches_dense(self):
+    def test_path_follows_shape(self, monkeypatch):
+        # 20 x 200 gives a 10,800 x 57 reduced matrix, solved by QR+SVD;
+        # 100 x 500 gives 147,000 x 297, past _DENSE_MAX_ENTRIES, solved
+        # through the block Gram matrix.
+        calls = []
+        block_gram = translation_solver._block_gram
+
+        def counted(system):
+            calls.append(system.n_views)
+            return block_gram(system)
+
+        monkeypatch.setattr(translation_solver, "_block_gram", counted)
+        for seed, n_views, n_points in ((83, 20, 200), (84, 100, 500)):
+            prob = exact_generic_scene(seed, n_views=n_views, n_points=n_points)
+            system = po.assemble_system(prob.tracks, prob.rotations, 0)
+            po.solve_translations(system)
+        assert calls == [100]
+
+    def test_normal_backend_matches_dense(self, monkeypatch):
         prob = exact_generic_scene(80, n_views=8, n_points=30)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
-        dense = po.solve_translations(system, backend="dense").translations
-        normal = po.solve_translations(system, backend="normal").translations
+        dense = po.solve_translations(system).translations
+        monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", 0)
+        normal = po.solve_translations(system).translations
         transform = po.align_similarity(normal, dense)
         assert transform.rms < 1e-8
 
