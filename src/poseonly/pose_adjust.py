@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.spatial.transform import Rotation
 
-from .errors import DegenerateBase, DivergedNumerically
+from .errors import ConfigInvalid, DegenerateBase, DivergedNumerically
 from .geometry import CameraPose
 from .observations import (
     anchored_terms,
@@ -46,6 +46,14 @@ class PAConfig:
     step_tol: float = 1e-12
     refine_rotations: bool = True
 
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise ConfigInvalid(f"max_iter must be non-negative, got {self.max_iter}")
+        for name in ("gradient_tol", "step_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigInvalid(f"{name} must be finite and non-negative, got {value!r}")
+
 
 @dataclass
 class OptimizeReport:
@@ -59,12 +67,15 @@ class OptimizeReport:
 
 
 class PoseParameterization:
-    """Maps a flat increment vector onto per-view pose updates.
+    """Linear map S from a flat increment vector onto per-view updates.
 
-    Layout per non-reference view (ascending id): 3 rotation parameters
-    (when rotations are refined) then the translation parameters - 3 for
-    free views, 2 tangent parameters for the scale-anchor view whose
-    center norm stays at ``anchor_radius``.
+    :meth:`matrix` is S, sparse (6n, n_params): view v owns rows 6v to
+    6v + 6, a rotation increment (axis-angle, right-multiplied) then a
+    center increment. Each non-reference view (ascending id) has 3
+    rotation parameters at ``rot_col`` when rotations are refined, then
+    ``trans_width`` center parameters at ``trans_col``: an identity block,
+    or for the scale anchor, whose center norm stays at
+    ``anchor_radius``, the 3x2 tangent basis :meth:`anchor_basis`.
     """
 
     def __init__(self, n_views, reference_view, anchor_view=None,
@@ -74,8 +85,9 @@ class PoseParameterization:
         self.anchor_view = anchor_view
         self.refine_rotations = refine_rotations
         self.anchor_radius = anchor_radius
-        if anchor_view is not None and not (anchor_radius and anchor_radius > 0):
-            raise ValueError("anchor view requires a positive frozen radius")
+        if anchor_view is not None and (anchor_view == reference_view
+                                        or not (anchor_radius and anchor_radius > 0)):
+            raise ValueError("anchor view must be a non-reference view with a positive radius")
         self.rot_col = np.full(n_views, -1, dtype=int)
         self.trans_col = np.full(n_views, -1, dtype=int)
         self.trans_width = np.zeros(n_views, dtype=int)
@@ -104,22 +116,34 @@ class PoseParameterization:
         e2 = np.cross(unit, e1)
         return np.stack([e1, e2], axis=1)
 
+    def matrix(self, Cs: np.ndarray) -> sp.csr_matrix:
+        """The sparse (6n, n_params) map S at centers ``Cs``: view v's
+        (rotation, center) increment is ``(S @ delta)[6v:6v + 6]``."""
+        eye = np.arange(3)
+        rot = np.flatnonzero(self.rot_col >= 0)
+        free = np.flatnonzero(self.trans_width == 3)
+        rows = np.concatenate((6 * rot[:, None] + eye, 6 * free[:, None] + 3 + eye)).ravel()
+        cols = np.concatenate((self.rot_col[rot, None] + eye, self.trans_col[free, None] + eye)).ravel()
+        values = np.ones(len(rows))
+        v = self.anchor_view
+        if v is not None:
+            rows = np.append(rows, np.repeat(6 * v + 3 + eye, 2))
+            cols = np.append(cols, np.tile(self.trans_col[v] + np.arange(2), 3))
+            values = np.append(values, self.anchor_basis(Cs[v]))
+        return sp.csr_matrix((values, (rows, cols)), shape=(6 * self.n_views, self.n_params))
+
     def apply(self, Rs: np.ndarray, Cs: np.ndarray, delta: np.ndarray):
         """New pose arrays after the increment; inputs are untouched."""
+        step = (self.matrix(Cs) @ delta).reshape(self.n_views, 6)
         Rs_new = Rs.copy()
-        Cs_new = Cs.copy()
         views = np.flatnonzero(self.rot_col >= 0)
         if len(views):
-            phis = delta[self.rot_col[views, None] + np.arange(3)]
-            mats = Rotation.from_rotvec(phis).as_matrix()
+            mats = Rotation.from_rotvec(step[views, :3]).as_matrix()
             Rs_new[views] = np.einsum("kij,kjl->kil", Rs[views], mats)
-        free = np.flatnonzero(self.trans_width == 3)
-        Cs_new[free] = Cs[free] + delta[self.trans_col[free, None] + np.arange(3)]
+        Cs_new = Cs + step[:, 3:]
         v = self.anchor_view
-        if v is not None and self.trans_col[v] >= 0:
-            col = self.trans_col[v]
-            moved = Cs[v] + self.anchor_basis(Cs[v]) @ delta[col:col + 2]
-            Cs_new[v] = self.anchor_radius * moved / np.linalg.norm(moved)
+        if v is not None:
+            Cs_new[v] = self.anchor_radius * Cs_new[v] / np.linalg.norm(Cs_new[v])
         return Rs_new, Cs_new
 
 
@@ -179,63 +203,19 @@ def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
     return _residuals(table, Rs, Cs, on_degenerate)
 
 
-@dataclass(frozen=True)
-class _JacobianPattern:
-    """Fixed CSR structure of the Jacobian for one table and one
-    parameterization.
+def _jacobian(table, Rs, Cs, param) -> sp.csr_matrix:
+    """Analytic Jacobian at (Rs, Cs) over the parameters of ``param``.
 
-    Every row touches three view groups: anchor left, anchor right and
-    the observing view, each with 3 rotation then 3 translation columns.
-    Values are computed into a dense (rows, 2, 3, 6) array; ``take``
-    gathers the structurally present ones in CSR order. Columns within
-    a residual follow ascending view order, and an observing view equal
-    to the anchor right is merged into the anchor-right group, so the
-    matrix is canonical (sorted, no duplicates).
-    """
-
-    views: np.ndarray  # (M, 3) view of each group
-    merged: np.ndarray  # (M,) observing view == anchor right
-    take: np.ndarray  # (nnz,) flat index into the value array
-    indices: np.ndarray  # (nnz,)
-    indptr: np.ndarray  # (2M + 1,)
-    shape: tuple
-
-
-def _jacobian_pattern(table, param: PoseParameterization) -> _JacobianPattern:
-    row_track = table.row_track
-    views = np.stack((table.left[row_track], table.right[row_track], table.row_view), axis=1)
-    merged = views[:, 2] == views[:, 1]
-    local = np.arange(6)
-    is_rot = local < 3
-    rot_col = param.rot_col[views][..., None]
-    trans_col = param.trans_col[views][..., None]
-    cols = np.where(is_rot, rot_col + local, trans_col + local - 3)  # (M, 3, 6)
-    present = np.where(is_rot, rot_col >= 0, local - 3 < param.trans_width[views][..., None])
-    present[merged, 2] = False
-    order = np.argsort(views, axis=1, kind="stable")[..., None]
-    cols = np.take_along_axis(cols, order, axis=1)[:, None]
-    present = np.take_along_axis(present, order, axis=1)[:, None]
-    m = len(views)
-    residual = 2 * np.arange(m)[:, None, None, None] + np.arange(2)[None, :, None, None]
-    flat = (residual * 3 + order[:, None]) * 6 + local  # (M, 2, 3, 6)
-    mask = np.broadcast_to(present, flat.shape)
-    indptr = np.zeros(2 * m + 1, dtype=np.int64)
-    np.cumsum(np.repeat(present.sum(axis=(1, 2, 3)), 2), out=indptr[1:])
-    return _JacobianPattern(
-        views=views,
-        merged=merged,
-        take=flat[mask],
-        indices=np.broadcast_to(cols, flat.shape)[mask].astype(np.int32),
-        indptr=indptr,
-        shape=(2 * m, param.n_params),
-    )
-
-
-def _jacobian(table, pattern, Rs, Cs, param) -> sp.csr_matrix:
-    """Analytic Jacobian values at (Rs, Cs), filled into ``pattern``.
+    Every residual touches three views: anchor left, anchor right and
+    the observing view. Their (rotation, center) derivatives fill a CSR
+    matrix J6 over all 6n view columns, exactly 18 entries per row, and
+    the parameter map gives ``J = J6 @ S`` (:meth:`PoseParameterization.
+    matrix`); the product drops the reference view and frozen rotations,
+    contracts the scale anchor's center through its tangent basis and
+    sums an observing view equal to the anchor right into one column.
 
     With Y = depth U + T the feature in the observing view's frame and
-    P the Jacobian of the projection Y -> Y[:2] / Y[2], the translation
+    P the Jacobian of the projection Y -> Y[:2] / Y[2], the center
     blocks are P(U k' + R_i), -P U k' and -P R_i (k = R_right' a /
     theta^2); the rotation blocks chain the depth through u, a, theta^2
     and T_right.
@@ -274,16 +254,13 @@ def _jacobian(table, pattern, Rs, Cs, param) -> sp.csr_matrix:
         values[:, :, 1, :3] = PU[:, :, None] * dd_right[row_track][:, None, :]
         values[:, :, 2, :3] = -np.cross(PR, Q[:, None, :])
 
-    values[pattern.merged, :, 1] += values[pattern.merged, :, 2]
-    if param.anchor_view is not None:
-        # The scale anchor moves on its sphere: contract its translation
-        # columns through the tangent basis.
-        rows, groups = np.nonzero(pattern.views == param.anchor_view)
-        E = param.anchor_basis(Cs[param.anchor_view])
-        values[rows, :, groups, 3:5] = values[rows, :, groups, 3:] @ E
     values[~valid[row_track]] = 0.0
-    data = values.reshape(-1)[pattern.take]
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+    views = np.stack((table.left[row_track], table.right[row_track], table.row_view), axis=1)
+    first = 6 * views.astype(np.int32)[:, None, :, None] + np.arange(6, dtype=np.int32)
+    indices = np.broadcast_to(first, values.shape).reshape(-1)
+    indptr = np.arange(0, len(indices) + 1, 18)
+    J6 = sp.csr_matrix((values.reshape(-1), indices, indptr), shape=(len(indptr) - 1, 6 * len(Rs)))
+    return J6 @ param.matrix(Cs)
 
 
 def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) -> sp.csr_matrix:
@@ -294,8 +271,7 @@ def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) ->
     """
     Rs, Cs = pose_arrays(poses)
     table = build_table(tracks, bases)
-    pattern = _jacobian_pattern(table, parameterization)
-    return _jacobian(table, pattern, Rs, Cs, parameterization)
+    return _jacobian(table, Rs, Cs, parameterization)
 
 
 def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
@@ -321,7 +297,6 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     param = PoseParameterization(
         n_views, reference_view, anchor_view, config.refine_rotations, radius
     )
-    pattern = _jacobian_pattern(table, param)
 
     res, dropped = _residuals(table, Rs, Cs, "drop")
     cost = float(res @ res)
@@ -333,7 +308,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     iterations = 0
 
     while iterations < config.max_iter:
-        J = _jacobian(table, pattern, Rs, Cs, param)
+        J = _jacobian(table, Rs, Cs, param)
         grad = J.T @ res
         if np.max(np.abs(grad), initial=0.0) <= config.gradient_tol:
             termination = "gradient"

@@ -100,10 +100,11 @@ class SceneConfig:
             raise ConfigInvalid(f"unknown motion {self.motion!r}")
         if self.point_cloud not in POINT_CLOUDS:
             raise ConfigInvalid(f"unknown point cloud {self.point_cloud!r}")
-        if self.obs_noise_sigma < 0 or self.rotation_noise_deg < 0:
-            raise ConfigInvalid("noise magnitudes must be non-negative")
-        if self.shell_radius <= 0:
-            raise ConfigInvalid("shell_radius must be positive")
+        noise = (self.obs_noise_sigma, self.rotation_noise_deg)
+        if not all(math.isfinite(x) and x >= 0 for x in noise):
+            raise ConfigInvalid("noise magnitudes must be finite and non-negative")
+        if not (math.isfinite(self.shell_radius) and self.shell_radius > 0):
+            raise ConfigInvalid("shell_radius must be finite and positive")
 
 
 @dataclass

@@ -101,37 +101,32 @@ class TranslationSystem:
         of ``a_vec . R_right (t_left - t_right)``."""
         return list(zip(*self.probe_views.T.tolist(), self.probe_a))
 
-    def _matrix(self, col_of_view, n_cols) -> sp.csr_matrix:
-        # Direct CSR assembly: block k holds entries for the anchor-right,
-        # observing and anchor-left views in that order, 9 per row before
-        # the reference-view columns are masked out. Duplicate column
-        # indices (observing view == anchor right) are left non-canonical;
-        # downstream sparse ops sum them. Every row is a run of 3-entry
-        # groups, one per unmasked view slot, so the blocks are expanded
-        # to (block, row, slot) groups and the masked slots dropped.
-        cols = col_of_view[np.stack((self.rights, self.row_views, self.lefts), axis=1)]  # (m, 3)
-        valid = cols >= 0
-        indptr = np.zeros(3 * len(cols) + 1, dtype=np.int64)
-        np.cumsum(np.repeat(3 * np.count_nonzero(valid, axis=1), 3), out=indptr[1:])
-        keep = np.repeat(valid, 3, axis=0).reshape(-1)
-        groups = np.stack((self.B, self.C, -(self.B + self.C)), axis=2).reshape(-1, 3)
-        first_col = np.compress(keep, np.repeat(3 * cols.astype(np.int32), 3, axis=0))
-        indices = first_col[:, None] + np.arange(3, dtype=np.int32)
-        data = np.compress(keep, groups, axis=0)
+    @property
+    def free_columns(self) -> np.ndarray:
+        """Columns of every center coordinate but the reference view's;
+        dropping the reference columns fixes the translation gauge."""
+        return np.delete(np.arange(3 * self.n_views), 3 * self.reference_view + np.arange(3))
+
+    def full_matrix(self) -> sp.csr_matrix:
+        """Constraint matrix over all 3n center coordinates (no gauge).
+
+        Every row holds 9 entries: its rows of B, C and D = -(B + C) at
+        the anchor-right, observing and anchor-left views' columns. An
+        observing view equal to the anchor right repeats column indices;
+        the matrix is left non-canonical and sparse ops sum them.
+        """
+        views = np.stack((self.rights, self.row_views, self.lefts), axis=1)  # (m, 3)
+        data = np.stack((self.B, self.C, -(self.B + self.C)), axis=2)  # (m, row, view, col)
+        first = 3 * views.astype(np.int32)[:, None, :, None] + np.arange(3, dtype=np.int32)
+        indices = np.broadcast_to(first, data.shape).reshape(-1)
+        indptr = np.arange(0, len(indices) + 1, 9)
         return sp.csr_matrix(
-            (data.reshape(-1), indices.reshape(-1), indptr), shape=(len(indptr) - 1, n_cols)
+            (data.reshape(-1), indices, indptr), shape=(len(indptr) - 1, 3 * self.n_views)
         )
 
     def reduced_matrix(self) -> sp.csr_matrix:
         """Constraint matrix with the reference view's columns removed."""
-        col_of_view = np.full(self.n_views, -1, dtype=int)
-        keep = [v for v in range(self.n_views) if v != self.reference_view]
-        col_of_view[keep] = np.arange(self.n_views - 1)
-        return self._matrix(col_of_view, 3 * (self.n_views - 1))
-
-    def full_matrix(self) -> sp.csr_matrix:
-        """Constraint matrix over all 3n center coordinates (no gauge)."""
-        return self._matrix(np.arange(self.n_views), 3 * self.n_views)
+        return self.full_matrix()[:, self.free_columns]
 
 
 def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) -> TranslationSystem:
@@ -215,7 +210,7 @@ def _block_gram(system: TranslationSystem) -> np.ndarray:
         for e in range(9):
             half[e] += np.bincount(keys, weights=values[e], minlength=n * n)
     half = half.reshape(3, 3, n, n).transpose(2, 0, 3, 1).reshape(3 * n, 3 * n)
-    keep = np.delete(np.arange(3 * n), np.arange(3) + 3 * system.reference_view)
+    keep = system.free_columns
     half = half[np.ix_(keep, keep)]
     return half + half.T
 
@@ -302,12 +297,10 @@ def solve_translations(system: TranslationSystem) -> TranslationSolution:
                 f"singular gap sigma2/sigma1 = {ratio:.3g} < {RANK_RATIO_MIN:g}"
             )
 
-    n = system.n_views
-    translations = np.zeros((n, 3))
-    others = [v for v in range(n) if v != system.reference_view]
-    translations[others] = null_vec.reshape(-1, 3)
+    translations = np.zeros((system.n_views, 3))
+    translations.reshape(-1)[system.free_columns] = null_vec
     translations, votes = disambiguate_sign(translations, system)
-    scale_norm = float(np.linalg.norm(translations[others]))
+    scale_norm = float(np.linalg.norm(translations.reshape(-1)[system.free_columns]))
     translations = translations / scale_norm
     translations[system.reference_view] = 0.0
     return TranslationSolution(

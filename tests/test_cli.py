@@ -189,6 +189,29 @@ class TestErrorPaths:
         assert "InputError" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flags", [
+        ["simulate", "--sigma", "nan"],
+        ["simulate", "--sigma", "inf"],
+        ["simulate", "--rotation-noise-deg", "inf"],
+        ["simulate", "--point-cloud", "shell", "--shell-radius", "nan"],
+        ["pa", "--max-iter", "-1"],
+        ["pa", "--gradient-tol", "nan"],
+        ["pa", "--step-tol=-1"],
+    ])
+    def test_invalid_setting_exit_1(self, tmp_path, s1_file, capsys, flags):
+        command, *settings = flags
+        out = str(tmp_path / "out")
+        if command == "simulate":
+            args = ["simulate", "--views", "5", "--points", "10", *settings, "-o", out]
+        else:
+            init = str(tmp_path / "init.poses")
+            po.write_poses(init, po.read_problem(s1_file).gt_poses)
+            args = ["pa", s1_file, "--init", init, *settings, "-o", out]
+        code, _, err = run(args, capsys)
+        assert code == 1
+        assert "ConfigInvalid" in err
+        assert not os.path.exists(out)
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(["--help"], capsys)
         assert code == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import poseonly as po
-from poseonly.errors import DegenerateBase, DivergedNumerically
+from poseonly.errors import ConfigInvalid, DegenerateBase, DivergedNumerically
 from poseonly.geometry import rotation_about
 from poseonly.pose_adjust import (
     PAConfig,
@@ -170,6 +170,49 @@ class TestParameterization:
                 radius, abs=1e-12
             )
 
+    @pytest.mark.parametrize("refine_rotations", [True, False])
+    def test_reference_in_middle_and_anchor_near_x_axis(self, refine_rotations):
+        # Reference view 3 of 6; the world is rotated so the scale anchor's
+        # center lies 10 degrees off the x axis, where anchor_basis switches
+        # its helper axis.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=6, n_points=10, seed=31, obs_noise_sigma=1e-3)
+        )
+        bases = bases_for(prob)
+        reference = 3
+        centers = prob.gt_centers()
+        anchor = select_anchor_view(prob.tracks, prob.n_views, reference, centers)
+        unit = centers[anchor] / np.linalg.norm(centers[anchor])
+        target = np.array([np.cos(np.radians(10)), np.sin(np.radians(10)), 0.0])
+        axis = np.cross(unit, target)
+        Q = rotation_about(axis / np.linalg.norm(axis), np.arccos(unit @ target))
+        poses = similarity_applied(prob.gt_poses, 1.0, Q, np.zeros(3))
+        Rs = np.stack([p.rotation for p in poses])
+        Cs = np.stack([p.center for p in poses])
+        assert abs(Cs[anchor, 0]) / np.linalg.norm(Cs[anchor]) > 0.9
+        param = PoseParameterization(
+            prob.n_views, reference, anchor, refine_rotations, float(np.linalg.norm(Cs[anchor]))
+        )
+        assert param.rot_col[reference] == -1 and param.trans_col[reference] == -1
+        col = param.trans_col[anchor]
+        S = param.matrix(Cs).toarray()
+        assert np.array_equal(S[6 * anchor + 3:6 * anchor + 6, col:col + 2],
+                              param.anchor_basis(Cs[anchor]))
+
+        J = pa_jacobian(poses, prob.tracks, bases, param).toarray()
+        J_fd = fd_jacobian(param, poses, prob.tracks, bases, h=1e-5)
+        mask = np.abs(J_fd) > 1e-8
+        err = np.abs(J - J_fd)[mask]
+        assert np.all(err <= 1e-5 * np.abs(J_fd)[mask] + 5e-12)
+
+        delta = make_rng(8).random(param.n_params) - 0.5
+        Rs2, Cs2 = param.apply(Rs, Cs, delta)
+        assert Rs2[reference].tobytes() == Rs[reference].tobytes()
+        assert Cs2[reference].tobytes() == Cs[reference].tobytes()
+        assert np.linalg.norm(Cs2[anchor]) == pytest.approx(param.anchor_radius, abs=1e-12)
+        if not refine_rotations:
+            assert Rs2.tobytes() == Rs.tobytes()
+
     def test_rotations_frozen_layout(self):
         prob = po.generate_scene(po.SceneConfig(n_views=5, n_points=6, seed=3))
         centers = prob.gt_centers()
@@ -180,6 +223,13 @@ class TestParameterization:
 
 
 class TestOptimize:
+    def test_config_rejects_invalid_settings(self):
+        PAConfig(max_iter=0, gradient_tol=0.0, step_tol=0.0)
+        for settings in ({"max_iter": -1}, {"gradient_tol": float("nan")},
+                         {"gradient_tol": float("inf")}, {"step_tol": -1e-12}):
+            with pytest.raises(ConfigInvalid):
+                PAConfig(**settings)
+
     def test_exact_initialization_converges_immediately(self):
         prob = po.generate_scene(po.SceneConfig(n_views=5, n_points=12, seed=21))
         poses, report = po.pa_optimize(prob.gt_poses, prob.tracks, reference_view=0)

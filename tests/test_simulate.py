@@ -97,6 +97,13 @@ class TestGeneration:
         with pytest.raises(ConfigInvalid):
             po.SceneConfig(n_views=2, n_points=5, motion="local_pure_rotation").validate()
 
+    @pytest.mark.parametrize("field", ["obs_noise_sigma", "rotation_noise_deg", "shell_radius"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_magnitudes_rejected(self, field, value):
+        config = po.SceneConfig(n_views=5, n_points=10, point_cloud="shell", **{field: value})
+        with pytest.raises(ConfigInvalid):
+            config.validate()
+
 
 class TestObservationNoise:
     def test_sigma_zero_identity(self, scene_s1):
