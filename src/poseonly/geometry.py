@@ -85,9 +85,12 @@ def rotation_about(axis: np.ndarray, angle_rad: float) -> np.ndarray:
 
 
 def rotation_geodesic_deg(R_a: np.ndarray, R_b: np.ndarray) -> float:
-    """Geodesic angle between two rotations, in degrees."""
-    cos_angle = (np.trace(R_a @ R_b.T) - 1.0) / 2.0
-    return float(np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0))))
+    """Geodesic angle between two rotations, in degrees: atan2 of the sine
+    (half the norm of vee(D - D')) and cosine of D = R_a R_b'; arccos of the
+    cosine alone reads rounding noise of 1e-16 as an angle of 1e-8 rad."""
+    D = R_a @ R_b.T
+    sine = 0.5 * np.linalg.norm([D[2, 1] - D[1, 2], D[0, 2] - D[2, 0], D[1, 0] - D[0, 1]])
+    return float(np.degrees(np.arctan2(sine, (np.trace(D) - 1.0) / 2.0)))
 
 
 def check_rotation(R: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -16,8 +16,9 @@ as a unit quaternion (scalar first); quaternions whose norm is off by
 more than 1e-9 are rejected, never silently renormalized. ``O`` lines
 are the normalized image observations. Optional ``G`` lines carry the
 exact ground-truth pose per view (for evaluation only); if present they
-must cover every view. ``R`` names the reference view. A view's ``V``
-or ``G`` line, an observation and the ``R`` line may each appear once.
+must cover every view, with centers whose squared norm is finite (so
+``1e300`` is refused). ``R`` names the reference view. A view's ``V`` or
+``G`` line, an observation and the ``R`` line may each appear once.
 Records may come in any order, fields are separated by any whitespace
 and blank lines are skipped; lines end with ``\n``, ``\r\n`` or ``\r``.
 Ids and counts are strict decimal integers (optional sign, ASCII
@@ -42,7 +43,16 @@ Estimated poses travel between CLI stages in a sibling format:
     <n_views>
     P <view_id> <qw> <qx> <qy> <qz> <cx> <cy> <cz>
 
-with exactly one ``P`` line per view.
+with exactly one ``P`` line per view. A pose file follows the problem
+file's rules: the version check, line breaks, strict integers, the counts
+line, and the ``G`` line's checks for a ``P`` line.
+
+Both readers share one copy of each rule: :func:`_read_lines` (line
+breaks and UTF-8), :func:`_header` (header, version and counts line),
+:func:`_view_slot` (view range and repeats), :func:`_pose_record` (the
+``G`` and ``P`` records) and :func:`_require_all` (a record for every
+view). The three writers share :func:`_write_lines`, and ``G`` and ``P``
+fields are formatted by :func:`_pose_fields`.
 """
 
 import io
@@ -121,6 +131,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _pose_fields(R, c) -> str:
+    """The quaternion and center fields of a ``G`` or ``P`` line."""
+    return " ".join(_fmt(v) for v in (*rotation_to_quat(R), *c))
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def _parse_int(token: str) -> int:
     """A strict decimal integer: the grammar the bulk O conversion applies."""
     digits = token[1:] if token[:1] in ("+", "-") else token
@@ -138,30 +158,54 @@ def _parse_quat(tokens, line_no):
     return q / norm
 
 
+def _view_slot(token, slots, tag, line_no) -> int:
+    """The view id in ``token``, in range for ``slots`` and not yet given
+    by an earlier ``tag`` line."""
+    view = _parse_int(token)
+    if not 0 <= view < len(slots):
+        raise ParseError(f"view id {view} out of range", line=line_no)
+    if slots[view] is not None:
+        raise ParseError(f"duplicate {tag} line for view {view}", line=line_no)
+    return view
+
+
+def _pose_record(toks, slots, line_no) -> None:
+    """Store the pose of a ``<tag> view qw qx qy qz cx cy cz`` record
+    (``G`` or ``P``) in its view's slot."""
+    tag = toks[0]
+    if len(toks) != 9:
+        raise ParseError(f"{tag} line needs view_id qw qx qy qz cx cy cz", line=line_no)
+    view = _view_slot(toks[1], slots, tag, line_no)
+    rotation = quat_to_rotation(_parse_quat(toks[2:6], line_no))
+    center = np.array([float(t) for t in toks[6:9]])
+    with np.errstate(over="ignore"):  # a field such as 1e300 squares to inf
+        if not np.isfinite(center @ center):  # also rejects nan and inf
+            raise ParseError("non-finite center or center squared norm", line=line_no)
+    slots[view] = CameraPose(rotation, center)
+
+
+def _require_all(slots, tag) -> None:
+    for view, slot in enumerate(slots):
+        if slot is None:
+            raise ParseError(f"missing {tag} line for view {view}")
+
+
 def write_problem(path, problem: SceneProblem) -> None:
     """Serialize a problem; every numeric field keeps full precision."""
     tracks = sorted(problem.tracks, key=lambda t: t.track_id)
     n_obs = sum(len(t) for t in tracks)
     lines = ["POSEONLY 1", f"{problem.n_views} {len(tracks)} {n_obs}"]
     for view, R in enumerate(problem.rotations):
-        q = rotation_to_quat(R)
-        lines.append("V " + str(view) + " " + " ".join(_fmt(c) for c in q))
+        lines.append(f"V {view} " + " ".join(_fmt(c) for c in rotation_to_quat(R)))
     for track in tracks:
         # Python ints and floats format several times faster than numpy
         # scalars, with the same text
         for view, (x, y) in zip(track.view_ids.tolist(), track.points.tolist()):
             lines.append(f"O {track.track_id} {view} {x!r} {y!r}")
-    if problem.gt_poses is not None:
-        for view, pose in enumerate(problem.gt_poses):
-            q = rotation_to_quat(pose.rotation)
-            lines.append(
-                "G " + str(view) + " "
-                + " ".join(_fmt(c) for c in q) + " "
-                + " ".join(_fmt(c) for c in pose.center)
-            )
+    for view, pose in enumerate(problem.gt_poses or []):
+        lines.append(f"G {view} {_pose_fields(pose.rotation, pose.center)}")
     lines.append(f"R {problem.reference_view}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _line_spans(buf: np.ndarray):
@@ -172,6 +216,52 @@ def _line_spans(buf: np.ndarray):
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
     return starts, ends
+
+
+def _read_lines(path):
+    """The file's bytes with ``\\r\\n`` and ``\\r`` made ``\\n``, the start
+    and end offsets of its lines, and ``tokens_of(idx)``: the fields of
+    line ``idx``, or a ParseError naming it when it is not UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    starts, ends = _line_spans(np.frombuffer(data, dtype=np.uint8))
+
+    def tokens_of(idx):
+        try:
+            return data[starts[idx]:ends[idx]].decode().split()
+        except UnicodeDecodeError:
+            raise ParseError("line is not UTF-8 text", line=idx + 1)
+
+    return data, starts, ends, tokens_of
+
+
+def _header(tokens_of, n_lines, magic, names) -> list:
+    """Check the ``<magic> 1`` header and return the counts of line 2, one
+    per name: strict non-negative integers, and no more views (the first
+    count) than lines after line 2, checked before anything is sized."""
+    head = tokens_of(0) if n_lines else []
+    if len(head) != 2 or head[0] != magic:
+        raise ParseError(f"expected header '{magic} 1'", line=1)
+    if head[1] != "1":
+        raise VersionUnsupported(f"unsupported {magic} version {head[1]!r}")
+    if n_lines < 2:
+        raise ParseError("missing counts line", line=2)
+    tokens = tokens_of(1)
+    if len(tokens) != len(names):
+        raise ParseError("counts line needs " + " ".join(names), line=2)
+    try:
+        counts = [_parse_int(t) for t in tokens]
+    except ValueError:
+        raise ParseError("counts must be integers", line=2)
+    if min(counts) < 0:
+        raise ParseError("counts must not be negative", line=2)
+    if counts[0] > n_lines - 2:
+        raise ParseError(
+            f"counts declare {counts[0]} views but only {n_lines - 2} lines follow", line=2
+        )
+    return counts
 
 
 def _gather_lines(data: bytes, starts, ends):
@@ -238,46 +328,12 @@ def _earliest(checks, lines) -> list:
 def read_problem(path) -> SceneProblem:
     """Parse a problem file; malformed input raises ParseError naming the
     first offending line."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    starts, ends = _line_spans(buf)
-    n_lines = len(starts)
-
-    def tokens_of(idx):
-        try:
-            return data[starts[idx]:ends[idx]].decode().split()
-        except UnicodeDecodeError:
-            raise ParseError("line is not UTF-8 text", line=idx + 1)
-
-    if not n_lines:
-        raise ParseError("empty file", line=1)
-    head = tokens_of(0)
-    if len(head) != 2 or head[0] != "POSEONLY":
-        raise ParseError("expected header 'POSEONLY 1'", line=1)
-    if head[1] != "1":
-        raise VersionUnsupported(f"unsupported problem version {head[1]!r}")
-    if n_lines < 2:
-        raise ParseError("missing counts line", line=2)
-    counts = tokens_of(1)
-    if len(counts) != 3:
-        raise ParseError("counts line needs n_views n_tracks n_obs", line=2)
-    try:
-        n_views, n_tracks, n_obs = (_parse_int(c) for c in counts)
-    except ValueError:
-        raise ParseError("counts must be integers", line=2)
-    if min(n_views, n_tracks, n_obs) < 0:
-        raise ParseError("counts must not be negative", line=2)
-    if n_views > n_lines - 2:
-        raise ParseError(
-            f"counts declare {n_views} views but only {n_lines - 2} lines follow", line=2
-        )
-
+    data, starts, ends, tokens_of = _read_lines(path)
+    n_views, n_tracks, n_obs = _header(
+        tokens_of, len(starts), "POSEONLY", ("n_views", "n_tracks", "n_obs")
+    )
     rotations = [None] * n_views
-    gt_quats = [None] * n_views
-    gt_centers = [None] * n_views
+    gt_poses = [None] * n_views
     reference_view = None
 
     def read_record(toks, line_no):
@@ -287,27 +343,10 @@ def read_problem(path) -> SceneProblem:
             if tag == "V":
                 if len(toks) != 6:
                     raise ParseError("V line needs view_id qw qx qy qz", line=line_no)
-                view = _parse_int(toks[1])
-                if not 0 <= view < n_views:
-                    raise ParseError(f"view id {view} out of range", line=line_no)
-                if rotations[view] is not None:
-                    raise ParseError(f"duplicate V line for view {view}", line=line_no)
+                view = _view_slot(toks[1], rotations, tag, line_no)
                 rotations[view] = quat_to_rotation(_parse_quat(toks[2:6], line_no))
             elif tag == "G":
-                if len(toks) != 9:
-                    raise ParseError(
-                        "G line needs view_id qw qx qy qz cx cy cz", line=line_no
-                    )
-                view = _parse_int(toks[1])
-                if not 0 <= view < n_views:
-                    raise ParseError(f"view id {view} out of range", line=line_no)
-                if gt_centers[view] is not None:
-                    raise ParseError(f"duplicate G line for view {view}", line=line_no)
-                gt_quats[view] = quat_to_rotation(_parse_quat(toks[2:6], line_no))
-                center = np.array([float(t) for t in toks[6:9]])
-                if not np.isfinite(center).all():
-                    raise ParseError("non-finite numeric field", line=line_no)
-                gt_centers[view] = center
+                _pose_record(toks, gt_poses, line_no)
             elif tag == "R":
                 if len(toks) != 2:
                     raise ParseError("R line needs the reference view id", line=line_no)
@@ -327,6 +366,7 @@ def read_problem(path) -> SceneProblem:
     # one, and goes to the bulk conversion unread. The other lines are
     # read one by one, up to the first defect; an O record indented by
     # whitespace is found there and joins the bulk.
+    buf = np.frombuffer(data, dtype=np.uint8)
     second = buf[np.minimum(starts + 1, len(buf) - 1)]
     is_o = (buf[starts] == ord("O")) & ((second == ord(" ")) | (second == ord("\t")))
     is_o[:2] = False
@@ -368,9 +408,7 @@ def read_problem(path) -> SceneProblem:
     if defects:
         raise min(defects, key=lambda exc: exc.line)
 
-    for view_id, R in enumerate(rotations):
-        if R is None:
-            raise ParseError(f"missing V line for view {view_id}")
+    _require_all(rotations, "V")
     if reference_view is None:
         raise ParseError("missing R reference line")
     first = np.flatnonzero(new_track)
@@ -387,13 +425,10 @@ def read_problem(path) -> SceneProblem:
         for track_id, a, b in zip(track[first].tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
     ]
 
-    has_gt = [c is not None for c in gt_centers]
-    gt_poses = None
-    if any(has_gt):
-        if not all(has_gt):
-            missing = has_gt.index(False)
-            raise ParseError(f"ground truth must cover all views; view {missing} missing")
-        gt_poses = [CameraPose(R, c) for R, c in zip(gt_quats, gt_centers)]
+    if all(pose is None for pose in gt_poses):
+        gt_poses = None
+    else:
+        _require_all(gt_poses, "G")
 
     return SceneProblem(
         rotations=np.stack(rotations),
@@ -408,68 +443,27 @@ def write_poses(path, poses) -> None:
     """Serialize estimated poses for the next pipeline stage."""
     lines = ["POSEONLY-POSES 1", str(len(poses))]
     for view, pose in enumerate(poses):
-        q = rotation_to_quat(pose.rotation)
-        lines.append(
-            "P " + str(view) + " "
-            + " ".join(_fmt(c) for c in q) + " "
-            + " ".join(_fmt(c) for c in pose.center)
-        )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        lines.append(f"P {view} {_pose_fields(pose.rotation, pose.center)}")
+    _write_lines(path, lines)
 
 
 def read_poses(path) -> list:
-    """Parse a pose file; malformed input raises ParseError naming the
-    first offending line. Lines break at ``\\n``, ``\\r\\n`` and ``\\r``
-    only, as in :func:`read_problem`."""
-    with open(path, "rb") as handle:
-        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        raise ParseError("line is not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1)
-    raw = text.split("\n")
-    if raw[-1] == "":
-        raw.pop()
-    if not raw or raw[0].split() != ["POSEONLY-POSES", "1"]:
-        raise ParseError("expected header 'POSEONLY-POSES 1'", line=1)
-    if len(raw) < 2:
-        raise ParseError("missing view count", line=2)
-    try:
-        (count,) = raw[1].split()
-        n_views = _parse_int(count)
-    except ValueError:
-        raise ParseError("view count must be an integer", line=2)
-    if n_views < 0:
-        raise ParseError(f"negative view count {n_views}", line=2)
-    if n_views > len(raw) - 2:
-        raise ParseError(
-            f"count declares {n_views} views but only {len(raw) - 2} lines follow", line=2
-        )
+    """Parse a pose file by the problem file's rules; malformed input
+    raises ParseError naming the first offending line."""
+    _, starts, _, tokens_of = _read_lines(path)
+    (n_views,) = _header(tokens_of, len(starts), "POSEONLY-POSES", ("n_views",))
     poses = [None] * n_views
-    for idx in range(2, len(raw)):
-        line_no = idx + 1
-        toks = raw[idx].split()
+    for idx in range(2, len(starts)):
+        toks = tokens_of(idx)
         if not toks:
             continue
-        if toks[0] != "P" or len(toks) != 9:
-            raise ParseError("P line needs view_id qw qx qy qz cx cy cz", line=line_no)
+        if toks[0] != "P":
+            raise ParseError(f"unknown record tag {toks[0]!r}", line=idx + 1)
         try:
-            view = _parse_int(toks[1])
-            q = _parse_quat(toks[2:6], line_no)
-            center = np.array([float(t) for t in toks[6:9]])
+            _pose_record(toks, poses, idx + 1)
         except ValueError as exc:
-            raise ParseError(f"bad numeric field ({exc})", line=line_no)
-        if not 0 <= view < n_views:
-            raise ParseError(f"view id {view} out of range", line=line_no)
-        if poses[view] is not None:
-            raise ParseError(f"duplicate P line for view {view}", line=line_no)
-        if not np.isfinite(center).all():
-            raise ParseError("non-finite numeric field", line=line_no)
-        poses[view] = CameraPose(quat_to_rotation(q), center)
-    for view, pose in enumerate(poses):
-        if pose is None:
-            raise ParseError(f"missing P line for view {view}")
+            raise ParseError(f"bad numeric field ({exc})", line=idx + 1)
+    _require_all(poses, "P")
     return poses
 
 
@@ -478,22 +472,12 @@ def export_ply(points, camera_centers, path) -> None:
     in white and cameras in red."""
     coords = [p.position_w for p in points]
     centers = [np.asarray(c, dtype=float) for c in camera_centers]
-    total = len(coords) + len(centers)
     lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {total}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
+        "ply", "format ascii 1.0", f"element vertex {len(coords) + len(centers)}",
+        *(f"property float {axis}" for axis in "xyz"),
+        *(f"property uchar {channel}" for channel in ("red", "green", "blue")),
         "end_header",
     ]
-    for xyz in coords:
-        lines.append(" ".join(_fmt(c) for c in xyz) + " 255 255 255")
-    for xyz in centers:
-        lines.append(" ".join(_fmt(c) for c in xyz) + " 255 0 0")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    lines += [" ".join(_fmt(c) for c in xyz) + " 255 255 255" for xyz in coords]
+    lines += [" ".join(_fmt(c) for c in xyz) + " 255 0 0" for xyz in centers]
+    _write_lines(path, lines)

@@ -105,6 +105,8 @@ class SceneConfig:
             raise ConfigInvalid("noise magnitudes must be finite and non-negative")
         if not (math.isfinite(self.shell_radius) and self.shell_radius > 0):
             raise ConfigInvalid("shell_radius must be finite and positive")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ConfigInvalid(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass
@@ -222,19 +224,7 @@ def generate_scene(config: SceneConfig) -> SceneProblem:
             "or move the cameras"
         )
 
-    obs, _ = project_points(rotations, centers, points)
-    tracks = [
-        Track(k, np.arange(config.n_views), obs[:, k, :].copy())
-        for k in range(config.n_points)
-    ]
-    gt_poses = [CameraPose(R, c) for R, c in zip(rotations, centers)]
-    problem = SceneProblem(
-        rotations=rotations.copy(),
-        tracks=tracks,
-        reference_view=0,
-        gt_poses=gt_poses,
-        gt_points=points,
-    )
+    problem = problem_from_poses([CameraPose(R, c) for R, c in zip(rotations, centers)], points)
     if config.obs_noise_sigma > 0:
         problem = add_observation_noise(
             problem, config.obs_noise_sigma, seed=int(rng.integers(0, 2**63 - 1))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,33 @@ class TestErrorPaths:
         assert "InputError" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("value", ["1e300", "-1e300"])
+    @pytest.mark.parametrize("tag", ["P", "G"])
+    def test_overflowing_center_exit_1(self, tmp_path, s1_file, capsys, tag, value):
+        # A center whose squared norm overflows stops every stage at the
+        # reader, naming its line, before numpy can warn about overflow.
+        problem, poses = Path(s1_file), tmp_path / "s1.poses"
+        po.write_poses(poses, po.read_problem(problem).gt_poses)
+        path = poses if tag == "P" else problem
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(f"{tag} 1 "))
+        tokens = lines[k].split()
+        tokens[6] = value
+        lines[k] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out")
+        for args in (
+            ["pa", str(problem), "--init", str(poses), "-o", out],
+            ["reconstruct", str(problem), "--poses", str(poses), "-o", out],
+            ["eval", str(problem), "--poses", str(poses)],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run(args, capsys)
+            assert code == 1
+            assert f"ParseError: line {k + 1}:" in err and "Warning" not in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("flags", [
         ["simulate", "--sigma", "nan"],
         ["simulate", "--sigma", "inf"],
@@ -197,6 +225,7 @@ class TestErrorPaths:
         ["pa", "--max-iter", "-1"],
         ["pa", "--gradient-tol", "nan"],
         ["pa", "--step-tol=-1"],
+        ["simulate", "--seed", "-1"],
     ])
     def test_invalid_setting_exit_1(self, tmp_path, s1_file, capsys, flags):
         command, *settings = flags

@@ -8,9 +8,13 @@ from poseonly.geometry import (
     homogenize,
     linear_translation_residual,
     pair_geometry,
+    rotation_about,
+    rotation_geodesic_deg,
     scale_scene,
     skew,
 )
+
+from poseonly.problem_io import quat_to_rotation, rotation_to_quat
 
 from conftest import make_rng, random_exact_pair
 
@@ -300,3 +304,18 @@ class TestTypes:
         for _ in range(20):
             a, b = np.random.default_rng(3).random(3), np.random.default_rng(4).random(3)
             assert np.allclose(skew(a) @ b, np.cross(a, b))
+
+
+class TestGeodesic:
+    def test_quaternion_round_trip_reads_as_zero(self):
+        rng = make_rng(23)
+        for _ in range(50):
+            axis = rng.random(3) - 0.5
+            R = rotation_about(axis / np.linalg.norm(axis), 3.0 * rng.random())
+            assert rotation_geodesic_deg(quat_to_rotation(rotation_to_quat(R)), R) < 1e-12
+
+    @pytest.mark.parametrize("angle", [1e-9, 1e-6, 0.5, 3.0])
+    def test_small_and_large_angles(self, angle):
+        R = rotation_about(np.array([0.6, 0.0, 0.8]), 0.3)
+        turned = rotation_about(np.array([0.0, 1.0, 0.0]), angle) @ R
+        assert np.radians(rotation_geodesic_deg(turned, R)) == pytest.approx(angle, rel=1e-6)

@@ -207,6 +207,8 @@ class TestNonFiniteFields:
             (6, 4, "-inf"),  # O y
             (7, 2, "nan"),  # G quaternion
             (8, 6, "inf"),  # G center
+            (8, 7, "1e300"),  # G center whose squared norm overflows
+            (8, 8, "-1e155"),
         ],
     )
     def test_problem_field_rejected(self, tmp_path, line, field, value):
@@ -217,7 +219,8 @@ class TestNonFiniteFields:
         assert err.value.line == line
 
     @pytest.mark.parametrize(
-        "line, field, value", [(3, 2, "nan"), (4, 3, "inf"), (4, 6, "nan"), (3, 8, "-inf")]
+        "line, field, value",
+        [(3, 2, "nan"), (4, 3, "inf"), (4, 6, "nan"), (3, 8, "-inf"), (4, 7, "-1e300"), (3, 6, "1e155")],
     )
     def test_poses_field_rejected(self, tmp_path, line, field, value):
         path = tmp_path / "bad.poses"
@@ -341,6 +344,69 @@ class TestPosesReader:
             warnings.simplefilter("error")
             with pytest.raises(ParseError, match="norm") as err:
                 self.read(tmp_path, text)
+        assert err.value.line == 4
+
+
+class TestOneGrammar:
+    """Pose files and G records go through the problem file's header,
+    counts and pose-record rules; each case below is where the pose reader
+    used to answer differently."""
+
+    PROBLEM = TestNonFiniteFields.PROBLEM
+    POSES = TestNonFiniteFields.POSES
+
+    def write(self, tmp_path, text, name="f"):
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+
+    def test_pose_version_unsupported(self, tmp_path):
+        path = self.write(tmp_path, self.POSES.replace("POSEONLY-POSES 1", "POSEONLY-POSES 2"))
+        with pytest.raises(VersionUnsupported):
+            po.read_poses(path)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ("2 1", "counts line needs n_views"),
+            ("x", "counts must be integers"),
+            ("-1", "counts must not be negative"),
+            ("3", "counts declare 3 views but only 2 lines follow"),
+        ],
+    )
+    def test_pose_count_errors_read_as_in_problem_files(self, tmp_path, counts, message):
+        lines = self.POSES.split("\n")
+        lines[1] = counts
+        with pytest.raises(ParseError, match=message) as err:
+            po.read_poses(self.write(tmp_path, "\n".join(lines)))
+        assert err.value.line == 2
+
+    def test_empty_problem_file_expects_the_header(self, tmp_path):
+        with pytest.raises(ParseError, match="expected header 'POSEONLY 1'") as err:
+            po.read_problem(self.write(tmp_path, ""))
+        assert err.value.line == 1
+
+    def test_missing_g_view_named(self, tmp_path):
+        text = self.PROBLEM.replace("G 1 1.0 0.0 0.0 0.0 1.0 0.0 0.0\n", "")
+        with pytest.raises(ParseError, match="missing G line for view 1"):
+            po.read_problem(self.write(tmp_path, text))
+
+    def test_defect_before_non_utf8_bytes_named_first(self, tmp_path):
+        # Lines are decoded as they are read, as in the problem reader, so
+        # the bad quaternion on line 3 is named before line 4's byte.
+        path = tmp_path / "p.poses"
+        path.write_bytes(
+            self.POSES.encode().replace(b"P 0 1.0 ", b"P 0 0.5 ").replace(b"P 1 ", b"P 1\xff ")
+        )
+        with pytest.raises(ParseError, match="norm") as err:
+            po.read_poses(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("view, message", [("0", "duplicate P line"), ("2", "out of range")])
+    def test_p_view_checked_before_quaternion(self, tmp_path, view, message):
+        text = self.POSES.replace("P 1 1.0 ", f"P {view} 0.5 ")
+        with pytest.raises(ParseError, match=message) as err:
+            po.read_poses(self.write(tmp_path, text))
         assert err.value.line == 4
 
 

@@ -96,6 +96,9 @@ class TestGeneration:
             po.SceneConfig(n_views=5, n_points=5, obs_noise_sigma=-1.0).validate()
         with pytest.raises(ConfigInvalid):
             po.SceneConfig(n_views=2, n_points=5, motion="local_pure_rotation").validate()
+        for seed in (-1, 2**64, 1.5):
+            with pytest.raises(ConfigInvalid):
+                po.SceneConfig(n_views=5, n_points=5, seed=seed).validate()
 
     @pytest.mark.parametrize("field", ["obs_noise_sigma", "rotation_noise_deg", "shell_radius"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
