@@ -182,10 +182,7 @@ def _cmd_reconstruct(args) -> int:
     centers = np.stack([p.center for p in poses])
     problem_io.export_ply(result.points, centers, out)
     if args.points_out:
-        with open(args.points_out, "w") as handle:
-            for point in result.points:
-                coords = " ".join(repr(float(c)) for c in point.position_w)
-                handle.write(f"{point.track_id} {coords}\n")
+        problem_io.write_points(args.points_out, result.points)
     counts = result.counts
     print(
         f"wrote {out}: {len(result.points)} points accepted, rejected {counts}",

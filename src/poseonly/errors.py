@@ -51,7 +51,7 @@ class NegativeDepth(NumericalError):
 
 
 class DivergedNumerically(NumericalError):
-    """Optimization cost became non-finite; inputs are corrupt."""
+    """A cost or a pose to be written became non-finite; inputs are corrupt."""
 
 
 class DisconnectedViewGraph(NumericalError):

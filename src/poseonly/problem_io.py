@@ -51,8 +51,10 @@ Both readers share one copy of each rule: :func:`_read_lines` (line
 breaks and UTF-8), :func:`_header` (header, version and counts line),
 :func:`_view_slot` (view range and repeats), :func:`_pose_record` (the
 ``G`` and ``P`` records) and :func:`_require_all` (a record for every
-view). The three writers share :func:`_write_lines`, and ``G`` and ``P``
-fields are formatted by :func:`_pose_fields`.
+view). The four writers (problem, poses, point listing and PLY) share
+:func:`_write_lines`, and ``G`` and ``P`` fields are formatted by
+:func:`_pose_fields`, which raises ``DivergedNumerically`` on a pose the
+readers would refuse, before the file is opened.
 """
 
 import io
@@ -60,7 +62,7 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, VersionUnsupported
+from .errors import DivergedNumerically, ParseError, VersionUnsupported
 from .geometry import CameraPose, Track
 from .simulate import SceneProblem
 
@@ -131,14 +133,26 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _pose_fields(R, c) -> str:
-    """The quaternion and center fields of a ``G`` or ``P`` line."""
-    return " ".join(_fmt(v) for v in (*rotation_to_quat(R), *c))
+def _storable_center(center) -> bool:
+    """Whether a ``G`` or ``P`` center is finite with a finite squared
+    norm, the rule both readers apply and both writers keep."""
+    with np.errstate(over="ignore"):  # a field such as 1e300 squares to inf
+        return bool(np.isfinite(center @ center))  # also false on nan and inf
+
+
+def _pose_fields(view, pose) -> str:
+    """The quaternion and center fields of view ``view``'s ``G`` or ``P``
+    line; a pose the readers would refuse raises DivergedNumerically, so
+    no stage writes a file the next one cannot read."""
+    if not _storable_center(pose.center):
+        raise DivergedNumerically(f"view {view}: non-finite center or center squared norm")
+    return " ".join(_fmt(v) for v in (*rotation_to_quat(pose.rotation), *pose.center))
 
 
 def _write_lines(path, lines) -> None:
+    """Write each line with its newline; no lines make an empty file."""
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(lines) + "\n" if lines else "")
 
 
 def _parse_int(token: str) -> int:
@@ -178,9 +192,8 @@ def _pose_record(toks, slots, line_no) -> None:
     view = _view_slot(toks[1], slots, tag, line_no)
     rotation = quat_to_rotation(_parse_quat(toks[2:6], line_no))
     center = np.array([float(t) for t in toks[6:9]])
-    with np.errstate(over="ignore"):  # a field such as 1e300 squares to inf
-        if not np.isfinite(center @ center):  # also rejects nan and inf
-            raise ParseError("non-finite center or center squared norm", line=line_no)
+    if not _storable_center(center):
+        raise ParseError("non-finite center or center squared norm", line=line_no)
     slots[view] = CameraPose(rotation, center)
 
 
@@ -203,7 +216,7 @@ def write_problem(path, problem: SceneProblem) -> None:
         for view, (x, y) in zip(track.view_ids.tolist(), track.points.tolist()):
             lines.append(f"O {track.track_id} {view} {x!r} {y!r}")
     for view, pose in enumerate(problem.gt_poses or []):
-        lines.append(f"G {view} {_pose_fields(pose.rotation, pose.center)}")
+        lines.append(f"G {view} {_pose_fields(view, pose)}")
     lines.append(f"R {problem.reference_view}")
     _write_lines(path, lines)
 
@@ -443,7 +456,7 @@ def write_poses(path, poses) -> None:
     """Serialize estimated poses for the next pipeline stage."""
     lines = ["POSEONLY-POSES 1", str(len(poses))]
     for view, pose in enumerate(poses):
-        lines.append(f"P {view} {_pose_fields(pose.rotation, pose.center)}")
+        lines.append(f"P {view} {_pose_fields(view, pose)}")
     _write_lines(path, lines)
 
 
@@ -465,6 +478,14 @@ def read_poses(path) -> list:
             raise ParseError(f"bad numeric field ({exc})", line=idx + 1)
     _require_all(poses, "P")
     return poses
+
+
+def write_points(path, points) -> None:
+    """One ``<track_id> <x> <y> <z>`` line per reconstructed point
+    (ReconstructedPoint objects), every float in full precision."""
+    _write_lines(
+        path, [f"{p.track_id} " + " ".join(_fmt(c) for c in p.position_w) for p in points]
+    )
 
 
 def export_ply(points, camera_centers, path) -> None:

@@ -17,11 +17,12 @@ to sign and scale. The formulation needs no relative translations, which
 is what keeps it well-posed under collinear motion and under views that
 only rotate in place.
 
-The null vector and the spectrum come from QR+SVD of the reduced matrix
-while it is small, and from an eigensolve of its Gram matrix, built
-straight from the blocks, beyond that; the reduced shape alone decides
-(:func:`_spectrum`), and each way floors the rank test at its own
-resolution.
+The null vector and the spectrum come from the 3x3 blocks without ever
+building the tall reduced matrix: while it is small, from the SVD of its
+triangle, factored a chunk of rows at a time (:func:`_dense_triangle`),
+and beyond that from an eigensolve of its Gram matrix (:func:`_block_gram`).
+The reduced shape alone decides (:func:`_spectrum`), and each way floors
+the rank test at its own resolution.
 """
 
 from dataclasses import dataclass
@@ -39,11 +40,18 @@ from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-e
     select_bases,
 )
 
-# Above this reduced-matrix size the dense SVD becomes a memory hazard;
-# fall back to the Gram-matrix eigenvector path.
+# The dense/Gram crossover: up to this reduced shape the chunked QR+SVD
+# costs little and resolves singular values to SVD_RESOLUTION; beyond it
+# the block Gram's eigensolve is far faster, at the coarser resolution
+# sqrt(cols * eps). Neither path builds the tall matrix.
 _DENSE_MAX_COLS = 1500
 _DENSE_MAX_ENTRIES = 40_000_000
 _MATRIX_CHUNK = 1 << 13  # blocks expanded at once by _block_gram
+# Rows factored at once by _dense_triangle: eight times the column count,
+# so a chunk stays cache-sized yet tall next to its triangle, but no
+# fewer than 1024, below which the cost of each QR call dominates.
+_QR_CHUNK_ROWS_PER_COL = 8
+_QR_CHUNK_MIN_ROWS = 1024
 # Relative resolution of the dense SVD's singular values.
 SVD_RESOLUTION = 1e-14
 
@@ -125,7 +133,12 @@ class TranslationSystem:
         )
 
     def reduced_matrix(self) -> sp.csr_matrix:
-        """Constraint matrix with the reference view's columns removed."""
+        """Constraint matrix with the reference view's columns removed.
+
+        The solver never builds it or :meth:`full_matrix`; both stay as
+        the oracles the tests check ``_dense_triangle`` and
+        ``_block_gram`` against.
+        """
         return self.full_matrix()[:, self.free_columns]
 
 
@@ -215,6 +228,34 @@ def _block_gram(system: TranslationSystem) -> np.ndarray:
     return half + half.T
 
 
+def _dense_triangle(system: TranslationSystem) -> np.ndarray:
+    """Triangle T of the reduced constraint matrix R (``T'T = R'R``), by a
+    tall-skinny QR straight from the 3x3 blocks; R is never built.
+
+    A chunk of blocks becomes dense rows: B at the anchor-right view's
+    columns, D = -(B + C) at the anchor-left's, and C added at the
+    observing view's, which may be the anchor right. The reference view's
+    columns sit last and are cut off. Each chunk is QR-factored, and the
+    stacked chunk triangles are factored once more. T shares R's singular
+    values and right-singular vectors.
+    """
+    n = system.n_views
+    cols = 3 * (n - 1)
+    slot = np.arange(n) - (np.arange(n) > system.reference_view)
+    slot[system.reference_view] = n - 1
+    step = -(-max(_QR_CHUNK_MIN_ROWS, _QR_CHUNK_ROWS_PER_COL * cols) // 3)
+    triangles = []
+    for lo in range(0, len(system.B), step):
+        B, C = system.B[lo:lo + step], system.C[lo:lo + step]
+        k = np.arange(len(B))
+        rows = np.zeros((len(B), 3, n, 3))  # (block, row, view slot, col)
+        rows[k, :, slot[system.rights[lo:lo + step]]] = B
+        rows[k, :, slot[system.lefts[lo:lo + step]]] = -(B + C)
+        rows[k, :, slot[system.row_views[lo:lo + step]]] += C
+        triangles.append(np.linalg.qr(rows.reshape(3 * len(B), 3 * n)[:, :cols], mode="r"))
+    return np.linalg.qr(np.concatenate(triangles), mode="r")
+
+
 def _spectrum(system: TranslationSystem, k: int):
     """At most k smallest singular values (ascending) of the reduced
     system, the right-singular vector of the smallest one, and the
@@ -222,8 +263,8 @@ def _spectrum(system: TranslationSystem, k: int):
 
     The reduced shape alone picks the path, without building either
     matrix. Up to ``_DENSE_MAX_COLS`` columns and ``_DENSE_MAX_ENTRIES``
-    entries, QR then SVD of the dense matrix resolves singular values
-    down to ``SVD_RESOLUTION`` of sigma_max. Larger systems take the
+    entries, the SVD of its QR triangle resolves singular values down to
+    ``SVD_RESOLUTION`` of sigma_max. Larger systems take the
     eigenvectors of the block Gram matrix R'R; ``eigh`` resolves its
     eigenvalues only to about ``cols * eps`` of sigma_max^2, so singular
     values below ``sqrt(cols * eps)`` of sigma_max are rounding noise.
@@ -231,13 +272,7 @@ def _spectrum(system: TranslationSystem, k: int):
     rows, cols = 3 * len(system.B), 3 * (system.n_views - 1)
     k = min(k, cols)
     if cols <= _DENSE_MAX_COLS and rows * cols <= _DENSE_MAX_ENTRIES:
-        dense = system.reduced_matrix().toarray()
-        if dense.shape[0] > 3 * dense.shape[1]:
-            # A tall matrix shares singular values and right-singular
-            # vectors with its QR triangle; factoring first avoids the
-            # tall left factor entirely.
-            dense = np.linalg.qr(dense, mode="r")
-        _, s, Vt = np.linalg.svd(dense, full_matrices=False)
+        _, s, Vt = np.linalg.svd(_dense_triangle(system), full_matrices=False)
         return s[::-1][:k], Vt[-1], SVD_RESOLUTION * float(s[0])
     w, V = np.linalg.eigh(_block_gram(system))
     sigma = np.sqrt(np.clip(w[:k], 0.0, None))

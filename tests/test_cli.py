@@ -172,6 +172,24 @@ class TestErrorPaths:
         assert code == 2
         assert "NumericalError" in err and "SVD did not converge" in err
 
+    def test_unstorable_pose_exit_2_keeps_output(self, tmp_path, s1_file, capsys, monkeypatch):
+        # A refinement that drives a center out of float range must not
+        # leave a pose file the next stage refuses, nor clobber the old one.
+        def diverge(init, *args, **kwargs):
+            poses = list(init)
+            poses[1] = po.CameraPose(poses[1].rotation, np.array([0.0, 0.0, 1.4e154]))
+            return poses, None
+
+        init = str(tmp_path / "init.poses")
+        assert run(["solve", s1_file, "-o", init], capsys)[0] == 0
+        out = tmp_path / "refined.poses"
+        out.write_text("old\n")
+        monkeypatch.setattr("poseonly.cli.pa_optimize", diverge)
+        code, _, err = run(["pa", s1_file, "--init", init, "-o", str(out)], capsys)
+        assert code == 2
+        assert "DivergedNumerically" in err and "view 1" in err
+        assert out.read_text() == "old\n"
+
     @pytest.mark.parametrize("command", ["pa", "reconstruct", "eval"])
     @pytest.mark.parametrize("extra_views", [1, -1])
     def test_pose_count_mismatch_exit_1(self, tmp_path, s1_file, capsys, command, extra_views):

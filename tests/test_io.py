@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import poseonly as po
-from poseonly.errors import ParseError, TooFewPoints, VersionUnsupported
+from poseonly.errors import DivergedNumerically, ParseError, TooFewPoints, VersionUnsupported
 from poseonly.geometry import rotation_about
-from poseonly.problem_io import quat_to_rotation, rotation_to_quat
+from poseonly.problem_io import quat_to_rotation, rotation_to_quat, write_points
 
 from conftest import make_rng
 
@@ -418,6 +418,48 @@ class TestPosesRoundTrip:
         for a, b in zip(back, scene_s1.gt_poses):
             assert np.array_equal(a.center, b.center)
             assert np.allclose(a.rotation, b.rotation, atol=5e-16)
+
+
+class TestUnstorablePoses:
+    # (0, 0, 1.4e154) is finite but its squared norm overflows, so the
+    # readers refuse it; the writers refuse it first, naming the view.
+    BAD = [[0.0, 0.0, 1.4e154], [np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0]]
+
+    @pytest.mark.parametrize("center", BAD)
+    def test_pose_writer_refuses_and_keeps_old_file(self, tmp_path, scene_s1, center):
+        path = tmp_path / "poses.txt"
+        path.write_text("old\n")
+        poses = list(scene_s1.gt_poses)
+        poses[2] = po.CameraPose(poses[2].rotation, np.array(center))
+        with pytest.raises(DivergedNumerically, match="view 2"):
+            po.write_poses(path, poses)
+        assert path.read_text() == "old\n"
+
+    def test_problem_writer_refuses_and_keeps_old_file(self, tmp_path, scene_s1):
+        path = tmp_path / "p.po"
+        path.write_text("old\n")
+        scene_s1.gt_poses[1] = po.CameraPose(np.eye(3), np.array(self.BAD[0]))
+        with pytest.raises(DivergedNumerically, match="view 1"):
+            po.write_problem(path, scene_s1)
+        assert path.read_text() == "old\n"
+
+
+class TestPointsWriter:
+    def test_lines_match_track_and_position(self, tmp_path, scene_s1):
+        points = po.reconstruct_all(scene_s1.tracks, scene_s1.gt_poses).points
+        path = tmp_path / "points.txt"
+        write_points(path, points)
+        expected = "".join(
+            f"{p.track_id} " + " ".join(repr(float(c)) for c in p.position_w) + "\n"
+            for p in points
+        )
+        assert len(points) == 2
+        assert path.read_text() == expected
+
+    def test_no_points_make_an_empty_file(self, tmp_path):
+        path = tmp_path / "points.txt"
+        write_points(path, [])
+        assert path.read_bytes() == b""
 
 
 class TestAlignment:

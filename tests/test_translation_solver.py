@@ -195,6 +195,67 @@ class TestBlockGram:
         assert np.allclose(normal, dense, rtol=1e-8, atol=1e-7 * sigma_max)
 
 
+def assert_dense_triangle_matches(system):
+    """The chunked triangle has the singular values of the reduced CSR
+    matrix, and the dense path returns its null vector."""
+    _, s, Vt = np.linalg.svd(system.reduced_matrix().toarray(), full_matrices=False)
+    t = np.linalg.svd(translation_solver._dense_triangle(system), compute_uv=False)
+    assert np.abs(t - s).max() <= 1e-13 * s[0]
+    spectrum, null_vec, _ = translation_solver._spectrum(system, 4)
+    assert np.abs(spectrum - s[::-1][:4]).max() <= 1e-13 * s[0]
+    null_vec = null_vec * np.sign(null_vec @ Vt[-1])
+    assert np.abs(null_vec - Vt[-1]).max() <= 1e-12
+
+
+class TestDenseTriangle:
+    @pytest.mark.parametrize("case", sorted(TestBlockGram.CASES))
+    def test_matches_svd_across_chunks(self, case, monkeypatch):
+        # Chunks of 11 blocks cut through tracks.
+        prob, reference = TestBlockGram.CASES[case]()
+        system = po.assemble_system(prob.tracks, prob.rotations, reference)
+        monkeypatch.setattr(translation_solver, "_QR_CHUNK_ROWS_PER_COL", 0)
+        monkeypatch.setattr(translation_solver, "_QR_CHUNK_MIN_ROWS", 33)
+        assert_dense_triangle_matches(system)
+
+    def test_cases_cover_repeated_and_reference_columns(self):
+        # What the test above relies on: every track's anchor-right view
+        # observes it, so those rows put B and C in the same columns, and
+        # in "partial tracks" the reference view is the anchor left of
+        # some tracks and the anchor right of others.
+        prob, reference = TestBlockGram.CASES["partial tracks"]()
+        system = po.assemble_system(prob.tracks, prob.rotations, reference)
+        assert np.any(system.row_views == system.rights)
+        assert np.any(system.lefts == reference) and np.any(system.rights == reference)
+
+    def test_system_within_one_chunk(self):
+        prob, reference = TestBlockGram.CASES["collinear"]()
+        system = po.assemble_system(prob.tracks, prob.rotations, reference)
+        assert 3 * len(system.B) < translation_solver._QR_CHUNK_MIN_ROWS
+        assert_dense_triangle_matches(system)
+
+    def test_last_chunk_shorter_than_columns(self, monkeypatch):
+        # All blocks but one fill the first chunk; the last chunk's 3 rows
+        # give a triangle of fewer rows than columns.
+        prob = exact_generic_scene(66)
+        system = po.assemble_system(prob.tracks, prob.rotations, 0)
+        monkeypatch.setattr(translation_solver, "_QR_CHUNK_ROWS_PER_COL", 0)
+        monkeypatch.setattr(translation_solver, "_QR_CHUNK_MIN_ROWS", 3 * (len(system.B) - 1))
+        assert_dense_triangle_matches(system)
+
+    def test_dense_path_builds_no_matrix(self, monkeypatch):
+        prob = exact_generic_scene(67)
+        system = po.assemble_system(prob.tracks, prob.rotations, 0)
+
+        def refuse(self):
+            raise AssertionError("full_matrix() on the solve path")
+
+        monkeypatch.setattr(translation_solver.TranslationSystem, "full_matrix", refuse)
+        assert po.spectral_gap(system) > 1e6
+        assert len(po.singular_spectrum(system, 4)) == 4
+        centers = po.solve_translations(system).translations
+        assert po.aligned_center_rms(centers, prob.gt_centers()) < 1e-8
+
+
 class TestSolve:
     def test_s1_exact_recovery(self, scene_s1):
         centers = solve_problem_centers(scene_s1)
