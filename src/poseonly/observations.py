@@ -6,12 +6,15 @@ camera poses. The linear translation system, pose-only refinement and
 analytic reconstruction all consume it, so they share one table of the
 anchored tracks' observations, sorted by (track, view)
 (:func:`build_table`), and one batched kernel over it
-(:func:`anchored_terms`). For every observation i outside its track's
-anchor-left view the kernel gives ``U = R_i R_left' X_left``,
-``T = R_i (C_left - C_i)`` and ``W = X_i x U``; per track it gives the
-anchor vector ``a = v (u.v) - u (v.v)`` (u, v: U and X_i in the
-anchor-right view), ``theta^2 = |u x v|^2`` and the anchored depth
-``a . T_right / theta^2``. The feature sits at ``depth U + T`` in view i.
+(:func:`anchored_terms`). The kernel works in the world frame: with
+``x_i = R_i' X_i`` the world-frame ray of observation i and ``g`` the
+track's anchor-left ray, the feature sits at ``P = C_left + depth g``
+and every observation i outside the anchor-left view satisfies
+``theta^2 x_i x (P - C_i) = 0``. Per row the kernel gives ``x_i``,
+``W = x_i x g`` and ``T = C_left - C_i``; per track it gives ``g``, the
+anchor vector ``a = x_r (x_r.g) - g |x_r|^2`` (x_r: the anchor-right
+ray), ``theta^2 = |x_r x g|^2`` and the anchored depth
+``a . T_right / theta^2``.
 
 This module alone holds the anchor policy: a track's anchor pair is its
 observation pair of maximal theta, chosen for all tracks in one batched
@@ -45,24 +48,28 @@ class BaseViewPair:
 _TABLE_ENTRIES = 1 << 18
 
 
+def _world_rays(rotations, views, xy) -> np.ndarray:
+    """World-frame rays ``R_v' X`` of image points ``xy`` (N, 2) seen in
+    ``views`` (N,)."""
+    return np.einsum("kji,kj->ki", rotations[views], homogenize(xy))
+
+
 def _max_theta_pairs(views, xy, rotations):
     """Row-major first (p, q), p < q, of maximal theta^2 per track, for
     tracks of one length K: ``views`` (T, K), ``xy`` (T, K, 2).
 
     theta^2 of every pair comes from the Gram identity
     ||g_p x g_q||^2 = |g_p|^2 |g_q|^2 - (g_p . g_q)^2 over the
-    world-frame rays g = R_v' X_v (rotating both rays into one frame
-    leaves the cross-product norm unchanged). Tracks go in chunks whose
-    tables hold at most ``_TABLE_ENTRIES`` entries together (one track
-    per chunk when K^2 alone exceeds it).
+    world-frame rays g = R_v' X_v. Tracks go in chunks whose tables hold
+    at most ``_TABLE_ENTRIES`` entries together (one track per chunk when
+    K^2 alone exceeds it).
     """
     n, k = views.shape
     lower = np.tri(k, dtype=bool)
     best = np.empty(n, dtype=np.intp)
     step = max(1, _TABLE_ENTRIES // (k * k))
     for s in range(0, n, step):
-        v = views[s:s + step].reshape(-1)
-        g = np.einsum("kji,kj->ki", rotations[v], homogenize(xy[s:s + step].reshape(-1, 2)))
+        g = _world_rays(rotations, views[s:s + step].reshape(-1), xy[s:s + step].reshape(-1, 2))
         g = g.reshape(-1, k, 3)
         sq = np.einsum("tki,tki->tk", g, g)
         gram = g @ g.transpose(0, 2, 1)
@@ -94,9 +101,7 @@ def _anchor_pairs(tracks, rotations):
         rows = np.arange(len(members))
         left[members], right[members] = views[rows, p], views[rows, q]
         x_left[members], x_right[members] = xy[rows, p], xy[rows, q]
-    R_rel = rotations[right] @ rotations[left].transpose(0, 2, 1)
-    u = (R_rel @ homogenize(x_left)[:, :, None])[:, :, 0]
-    w = cross_rows(homogenize(x_right), u)
+    w = cross_rows(_world_rays(rotations, right, x_right), _world_rays(rotations, left, x_left))
     return left, right, np.sqrt(np.einsum("ki,ki->k", w, w))
 
 
@@ -204,16 +209,15 @@ def build_table(tracks, bases: dict) -> ObservationTable:
 
 @dataclass(frozen=True)
 class AnchorTerms:
-    """Per-row (M) and per-track (T) output of :func:`anchored_terms`."""
+    """Per-row (M) and per-track (T) output of :func:`anchored_terms`,
+    all in the world frame."""
 
-    X: np.ndarray  # (M, 3) homogenized row observations
-    R: np.ndarray  # (M, 3, 3) rotation of each row's view
-    U: np.ndarray  # (M, 3) anchor-left ray rotated into the row's view
-    W: np.ndarray  # (M, 3) X x U; its norm is the pair (left, i) theta
-    g: np.ndarray  # (T, 3) world-frame anchor-left ray R_left' X_left
-    a: np.ndarray  # (T, 3)
-    theta_sq: np.ndarray  # (T,)
-    T: np.ndarray | None = None  # (M, 3) R_i (C_left - C_i)
+    x: np.ndarray  # (M, 3) row ray R_i' X_i
+    W: np.ndarray  # (M, 3) x x g; its norm is the pair (left, i) theta
+    g: np.ndarray  # (T, 3) anchor-left ray R_left' X_left
+    a: np.ndarray  # (T, 3) x_r (x_r . g) - g |x_r|^2, x_r the anchor-right ray
+    theta_sq: np.ndarray  # (T,) |x_r x g|^2
+    T: np.ndarray | None = None  # (M, 3) C_left - C_i
     depth: np.ndarray | None = None  # (T,) anchored depth, 0 where theta = 0
 
     @property
@@ -233,22 +237,19 @@ def _dot_rows(A, B) -> np.ndarray:
 
 
 def anchored_terms(table: ObservationTable, rotations, centers=None) -> AnchorTerms:
-    """Batched anchor-pair quantities of every row and track; ``T`` and
-    ``depth`` need the camera centers and stay None without them."""
+    """Batched world-frame anchor-pair quantities of every row and track;
+    ``T`` and ``depth`` need the camera centers and stay None without
+    them."""
     row_track = table.row_track
-    R = rotations[table.row_view]
-    X = homogenize(table.obs_xy[table.rows])
-    x_left = homogenize(table.obs_xy[table.left_obs])
-    g = np.einsum("tji,tj->ti", rotations[table.left], x_left)
-    U = np.einsum("kij,kj->ki", R, g[row_track])
-    W = cross_rows(X, U)
-    u, v, w = U[table.right_row], X[table.right_row], W[table.right_row]
-    a = v * _dot_rows(u, v)[:, None] - u * _dot_rows(v, v)[:, None]
+    x = _world_rays(rotations, table.row_view, table.obs_xy[table.rows])
+    g = _world_rays(rotations, table.left, table.obs_xy[table.left_obs])
+    W = cross_rows(x, g[row_track])
+    v, w = x[table.right_row], W[table.right_row]
+    a = v * _dot_rows(g, v)[:, None] - g * _dot_rows(v, v)[:, None]
     theta_sq = _dot_rows(w, w)
     if centers is None:
-        return AnchorTerms(X, R, U, W, g, a, theta_sq)
-    offsets = centers[table.left][row_track] - centers[table.row_view]
-    T = np.einsum("kij,kj->ki", R, offsets)
+        return AnchorTerms(x, W, g, a, theta_sq)
+    T = centers[table.left][row_track] - centers[table.row_view]
     along = _dot_rows(a, T[table.right_row])
     depth = np.divide(along, theta_sq, out=np.zeros_like(along), where=theta_sq > 0)
-    return AnchorTerms(X, R, U, W, g, a, theta_sq, T, depth)
+    return AnchorTerms(x, W, g, a, theta_sq, T, depth)

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.spatial.transform import Rotation
 
 from .errors import ConfigInvalid, DegenerateBase, DivergedNumerically
-from .geometry import CameraPose
+from .geometry import CameraPose, cross_rows, skew_batch
 from .observations import (
     anchored_terms,
     build_table,
@@ -150,7 +150,7 @@ class PoseParameterization:
 def select_anchor_view(tracks, n_views, reference_view, centers) -> int | None:
     """Scale anchor: the view sharing the most tracks with the reference
     (ties to the smallest id), skipping views whose center norm is too
-    small to carry a scale constraint."""
+    small to carry a scale constraint; None when every view is skipped."""
     owner, views, _ = flatten_tracks(tracks)
     sees_reference = np.zeros(len(tracks), dtype=bool)
     sees_reference[owner[views == reference_view]] = True
@@ -162,10 +162,6 @@ def select_anchor_view(tracks, n_views, reference_view, centers) -> int | None:
     for v in order:
         if np.linalg.norm(centers[v]) > 1e-9:
             return v
-    norms = [np.linalg.norm(centers[v]) for v in range(n_views)]
-    fallback = int(np.argmax(norms))
-    if fallback != reference_view and norms[fallback] > 1e-9:
-        return fallback
     return None
 
 
@@ -182,7 +178,8 @@ def _residuals(table, Rs, Cs, on_degenerate):
             f"{terms.theta_sq[k]!r} collapsed below the floor"
         )
     row_track = table.row_track
-    Y = terms.depth[row_track, None] * terms.U + terms.T
+    Q = terms.depth[row_track, None] * terms.g[row_track] + terms.T
+    Y = np.einsum("kij,kj->ki", Rs[table.row_view], Q)
     with np.errstate(divide="ignore", invalid="ignore"):
         res = Y[:, :2] / Y[:, 2:3] - table.obs_xy[table.rows]
     res[degenerate[row_track]] = 0.0
@@ -214,46 +211,45 @@ def _jacobian(table, Rs, Cs, param) -> sp.csr_matrix:
     contracts the scale anchor's center through its tangent basis and
     sums an observing view equal to the anchor right into one column.
 
-    With Y = depth U + T the feature in the observing view's frame and
-    P the Jacobian of the projection Y -> Y[:2] / Y[2], the center
-    blocks are P(U k' + R_i), -P U k' and -P R_i (k = R_right' a /
-    theta^2); the rotation blocks chain the depth through u, a, theta^2
-    and T_right.
+    Row i sees the feature P = C_left + depth g at Y = R_i Q, Q = P - C_i
+    (world frame throughout). With PR = P_pi R_i, P_pi the Jacobian of
+    the projection Y -> Y[:2] / Y[2], the observing view's block is
+    [-PR [Q]x, -PR]; the anchor views enter through P alone, as PR dP,
+    dP (3 x 12) the per-track derivative of P over the anchor-left and
+    anchor-right (rotation, center): g d' plus depth [g]x at the left
+    rotation and I at the left center. The depth's gradient d is
+    (q x g, a, -(q x g) - a x T_right, -a) / theta^2, with
+    q = x_r (x_r . T_right) - T_right |x_r|^2 + 2 depth a.
     """
     terms = anchored_terms(table, Rs, Cs)
     valid = ~terms.collapsed
     inv_sq = np.divide(1.0, terms.theta_sq, out=np.zeros_like(terms.theta_sq), where=valid)
+    g, a = terms.g, terms.a
+    v, s = terms.x[table.right_row], terms.T[table.right_row]
+    q = (v * np.einsum("ti,ti->t", v, s)[:, None] - s * np.einsum("ti,ti->t", v, v)[:, None]
+         + 2.0 * terms.depth[:, None] * a)
+    d = np.empty((len(g), 4, 3))
+    d[:, 0] = cross_rows(q, g) * inv_sq[:, None]
+    d[:, 1] = a * inv_sq[:, None]
+    d[:, 2] = -d[:, 0] - cross_rows(a, s) * inv_sq[:, None]
+    d[:, 3] = -d[:, 1]
+    dP = g[:, :, None] * d.reshape(-1, 1, 12)
+    dP[:, :, :3] += terms.depth[:, None, None] * skew_batch(g)
+    dP[:, :, 3:6] += np.eye(3)
+
     row_track = table.row_track
-    depth = terms.depth[row_track]
-    Y = depth[:, None] * terms.U + terms.T
+    R = Rs[table.row_view]
+    Q = terms.depth[row_track, None] * g[row_track] + terms.T
+    Y = np.einsum("kij,kj->ki", R, Q)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = Y[:, 2:3]
         proj = Y[:, :2] / z
-        # P @ v = (v[:2] - proj * v[2]) / z
-        PU = (terms.U[:, :2] - proj * terms.U[:, 2:3]) / z
-        PR = (terms.R[:, :2] - proj[:, :, None] * terms.R[:, 2:3]) / z[:, :, None]
-
-    a_world = np.einsum("tji,tj->ti", Rs[table.right], terms.a)
-    PUk = PU[:, :, None] * (a_world * inv_sq[:, None])[row_track][:, None, :]
-    values = np.zeros((len(row_track), 2, 3, 6))
-    values[:, :, 0, 3:] = PUk + PR
-    values[:, :, 1, 3:] = -PUk
+        # P_pi @ v = (v[:2] - proj * v[2]) / z
+        PR = (R[:, :2] - proj[:, :, None] * R[:, 2:3]) / z[:, :, None]
+    values = np.empty((len(row_track), 2, 3, 6))
+    values[:, :, :2] = (PR @ dP[row_track]).reshape(-1, 2, 2, 6)
+    values[:, :, 2, :3] = -np.cross(PR, Q[:, None, :])
     values[:, :, 2, 3:] = -PR
-    if param.refine_rotations:
-        g = terms.g
-        v, s = terms.X[table.right_row], terms.T[table.right_row]
-        q = (v * np.einsum("ti,ti->t", v, s)[:, None] - s * np.einsum("ti,ti->t", v, v)[:, None]
-             + 2.0 * terms.depth[:, None] * terms.a)
-        q_world = np.einsum("tji,tj->ti", Rs[table.right], q)
-        dd_left = np.cross(q_world, g) * inv_sq[:, None]
-        dd_right = -dd_left - np.cross(a_world, Cs[table.left] - Cs[table.right]) * inv_sq[:, None]
-        g_rows = g[row_track]
-        Q = depth[:, None] * g_rows + Cs[table.left][row_track] - Cs[table.row_view]
-        values[:, :, 0, :3] = (PU[:, :, None] * dd_left[row_track][:, None, :]
-                               + depth[:, None, None] * np.cross(PR, g_rows[:, None, :]))
-        values[:, :, 1, :3] = PU[:, :, None] * dd_right[row_track][:, None, :]
-        values[:, :, 2, :3] = -np.cross(PR, Q[:, None, :])
-
     values[~valid[row_track]] = 0.0
     views = np.stack((table.left[row_track], table.right[row_track], table.row_view), axis=1)
     first = 6 * views.astype(np.int32)[:, None, :, None] + np.arange(6, dtype=np.int32)

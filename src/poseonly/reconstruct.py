@@ -60,16 +60,17 @@ def _fuse(table, R, C):
     """Fused anchor-left depth, theta weight sum, contributing pair count
     and world position of every table track.
 
-    Pair (left, i) has theta_i = |X_i x U_i| and signed depth
-    a_i . T_i / theta_i^2 with a_i = X_i x (X_i x U_i); the theta-weighted
-    mean over the pairs with parallax (:meth:`AnchorTerms.pair_theta`) is
-    a segment sum over each track's rows. A track without such a pair
+    Pair (left, i) has theta_i = |x_i x g| and signed depth
+    a_i . T_i / theta_i^2 with a_i = x_i x (x_i x g), in the world frame
+    of :func:`anchored_terms`; the theta-weighted mean over the pairs
+    with parallax (:meth:`AnchorTerms.pair_theta`) is a segment sum over
+    each track's rows. A track without such a pair
     has weight sum 0 and no contributing pairs.
     """
     terms = anchored_terms(table, R, C)
     weights = terms.pair_theta()
     usable = weights > 0
-    a = cross_rows(terms.X, terms.W)
+    a = cross_rows(terms.x, terms.W)
     weighted = np.einsum("ki,ki->k", a, terms.T) / np.where(usable, weights, 1.0)
     starts = table.row_start[:-1]
     weight_sum = np.add.reduceat(weights, starts)

@@ -3,19 +3,21 @@
 Given per-view global rotations and tracked normalized image points,
 every track contributes homogeneous linear constraints on the stacked
 camera centers: with a track's anchor views (left, right) fixed, each
-further observation i yields
+further observation i yields ``theta^2 x_i x (P_t - C_i) = 0``, the
+world-frame ray ``x_i = R_i' X_i`` crossed with the feature
+``P_t = C_left + depth g`` seen from view i (:mod:`poseonly.observations`):
 
     B @ t_right + C @ t_i + D @ t_left = 0
-    B = [X_i]x R_(left,i) X_left a' R_right
-    C = theta^2 [X_i]x R_i
+    B = (x_i x g) a'
+    C = theta^2 [x_i]x
     D = -(B + C)
 
-where ``a`` and ``theta`` belong to the anchor pair. Stacking all rows
-gives a sparse homogeneous system whose one-dimensional null space (after
-fixing a reference view's center to zero) is the global translation, up
-to sign and scale. The formulation needs no relative translations, which
-is what keeps it well-posed under collinear motion and under views that
-only rotate in place.
+where ``g`` is the anchor-left ray and ``a`` and ``theta`` belong to the
+anchor pair. Stacking all rows gives a sparse homogeneous system whose
+one-dimensional null space (after fixing a reference view's center to
+zero) is the global translation, up to sign and scale. The formulation
+needs no relative translations, which is what keeps it well-posed under
+collinear motion and under views that only rotate in place.
 
 The null vector and the spectrum come from the 3x3 blocks without ever
 building the tall reduced matrix: while it is small, from the SVD of its
@@ -84,7 +86,7 @@ class TranslationSystem:
     Block k holds 3 rows touching the anchor-right view (``B[k]``), the
     observing view (``C[k]``) and the anchor-left view (``D = -(B + C)``),
     in (track_id, row_view) order. When the observing ray is parallel to
-    the rotated anchor ray, B vanishes but C does not (C carries the
+    the anchor-left ray, B vanishes but C does not (C carries the
     anchor pair's theta^2, not the row's own parallax); the surviving
     C (t_i - t_left) = 0 content is what pins a camera that only rotates
     in place to its co-located partner. The reference view's columns are
@@ -100,14 +102,16 @@ class TranslationSystem:
     C: np.ndarray  # (m, 3, 3)
     bases: dict  # track_id -> BaseViewPair of every track with rows
     probe_views: np.ndarray  # (k, 2) anchor (left, right) of those tracks
-    probe_a: np.ndarray  # (k, 3) their anchor vectors a
+    probe_a: np.ndarray  # (k, 3) their world-frame anchor vectors a
     rotations: np.ndarray
 
     @property
     def sign_probes(self):
-        """(left, right, a_vec) per track: the anchored depth has the sign
-        of ``a_vec . R_right (t_left - t_right)``."""
-        return list(zip(*self.probe_views.T.tolist(), self.probe_a))
+        """(left, right, a_vec) per track, ``a_vec`` in the anchor-right
+        view's frame: the anchored depth has the sign of
+        ``a_vec . R_right (t_left - t_right)``."""
+        a_right = self.rotations[self.probe_views[:, 1]] @ self.probe_a[:, :, None]
+        return list(zip(*self.probe_views.T.tolist(), a_right[:, :, 0]))
 
     @property
     def free_columns(self) -> np.ndarray:
@@ -147,13 +151,13 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
 
     Anchors come from one batched selection and every track's rows from
     one pass of the anchored-depth kernel over the observation table
-    (:mod:`poseonly.observations`):
-    ``B = (X_i x U_i) (R_right' a)'`` and ``C = theta^2 [X_i]x R_i``.
+    (:mod:`poseonly.observations`), all in the world frame:
+    ``B = (x_i x g) a'`` and ``C = theta^2 [x_i]x``.
 
     Tracks whose every pair is parallax-free are dropped; at least two
     usable tracks are required (a globally rotating-in-place camera set
     cannot constrain translation at all). Rows whose own parallax
-    ``|X_i x U_i|`` vanishes are kept: they are what glues a camera that
+    ``|x_i x g|`` vanishes are kept: they are what glues a camera that
     only rotates in place to its partner.
     """
     rotations = np.asarray(rotations, dtype=float)
@@ -169,9 +173,8 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
     table = build_table(tracks, bases)
     terms = anchored_terms(table, rotations)
     row_track = table.row_track
-    a_world = np.einsum("tji,tj->ti", rotations[table.right], terms.a)
-    B = terms.W[:, :, None] * a_world[row_track][:, None, :]
-    C = terms.theta_sq[row_track][:, None, None] * (skew_batch(terms.X) @ terms.R)
+    B = terms.W[:, :, None] * terms.a[row_track][:, None, :]
+    C = terms.theta_sq[row_track][:, None, None] * skew_batch(terms.x)
     return TranslationSystem(
         n_views=n_views,
         reference_view=reference_view,
@@ -296,17 +299,15 @@ def floored_gap(sigma_1: float, sigma_2: float, floor: float) -> float:
 def disambiguate_sign(translations: np.ndarray, system: TranslationSystem):
     """Resolve the global sign of a null-space solution.
 
-    Each surviving track votes with the sign of ``a . t_rel`` of its
-    anchor pair, which is positive exactly when the anchored depth is
-    positive (feature in front of the camera). One vote per track; the
+    Each surviving track votes with the sign of ``a . (t_left - t_right)``
+    of its anchor pair, which is positive exactly when the anchored depth
+    is positive (feature in front of the camera). One vote per track; the
     majority wins.
     """
 
     def count(t):
         left, right = system.probe_views.T
-        s = np.einsum(
-            "ki,kij,kj->k", system.probe_a, system.rotations[right], t[left] - t[right]
-        )
+        s = np.einsum("ki,ki->k", system.probe_a, t[left] - t[right])
         return int((s > 0).sum()), int((s < 0).sum())
 
     pos, neg = count(translations)
@@ -325,12 +326,11 @@ def solve_translations(system: TranslationSystem) -> TranslationSolution:
     and any single vector from it would be arbitrary.
     """
     spectrum, null_vec, floor = _spectrum(system, 4)
-    if len(spectrum) >= 2:
-        ratio = floored_gap(float(spectrum[0]), float(spectrum[1]), floor)
-        if ratio < RANK_RATIO_MIN:
-            raise RankDeficient(
-                f"singular gap sigma2/sigma1 = {ratio:.3g} < {RANK_RATIO_MIN:g}"
-            )
+    ratio = floored_gap(float(spectrum[0]), float(spectrum[1]), floor)
+    if ratio < RANK_RATIO_MIN:
+        raise RankDeficient(
+            f"singular gap sigma2/sigma1 = {ratio:.3g} < {RANK_RATIO_MIN:g}"
+        )
 
     translations = np.zeros((system.n_views, 3))
     translations.reshape(-1)[system.free_columns] = null_vec
@@ -357,6 +357,4 @@ def singular_spectrum(system: TranslationSystem, k: int) -> np.ndarray:
 def spectral_gap(system: TranslationSystem) -> float:
     """Floored sigma2/sigma1 of the reduced system; the rank diagnostic."""
     spectrum, _, floor = _spectrum(system, 2)
-    if len(spectrum) < 2:
-        return float("inf")
     return floored_gap(float(spectrum[0]), float(spectrum[1]), floor)

@@ -52,6 +52,22 @@ class TestPipeline:
         assert "runtime" not in out
         assert "runtime" in err  # human table carries timings
 
+    def test_eval_timings_only_add_runtime_lines(self, s1_file, capsys):
+        assert run(["solve", s1_file], capsys)[0] == 0
+        eval_args = ["eval", s1_file, "--poses", s1_file.replace(".po", ".poses")]
+        code, plain, _ = run(eval_args, capsys)
+        assert code == 0
+        code, timed, _ = run([*eval_args, "--timings"], capsys)
+        assert code == 0
+        timed_lines = timed.splitlines()
+        runtime = [line for line in timed_lines if line.startswith("runtime_ms_")]
+        assert [line.partition("=")[0] for line in runtime] == [
+            "runtime_ms_align", "runtime_ms_assemble_spectrum",
+            "runtime_ms_reconstruct", "runtime_ms_reprojection",
+        ]
+        assert all(float(line.partition("=")[2]) >= 0 for line in runtime)
+        assert [line for line in timed_lines if line not in runtime] == plain.splitlines()
+
     def test_full_stage_composition(self, tmp_path, capsys):
         problem = str(tmp_path / "ring.po")
         code, _, _ = run(
@@ -89,6 +105,14 @@ class TestPipeline:
         code, _, err = run(["baseline", s1_file], capsys)
         assert code == 2
         assert "RankDeficient" in err
+
+    def test_baseline_without_ground_truth_exit_1(self, tmp_path, s1_file, capsys):
+        lines = Path(s1_file).read_text().splitlines()
+        bare = tmp_path / "bare.po"
+        bare.write_text("\n".join(line for line in lines if not line.startswith("G ")) + "\n")
+        code, _, err = run(["baseline", str(bare)], capsys)
+        assert code == 1
+        assert "InputError" in err and "G lines" in err
 
     def test_baseline_generic_succeeds(self, tmp_path, capsys):
         problem = str(tmp_path / "ring.po")

@@ -54,7 +54,8 @@ class TestTable:
 
 class TestKernelAgainstPairOracle:
     """The batched kernel reproduces the independent two-view
-    ``pair_geometry``/``linear_depths`` values pair by pair."""
+    ``pair_geometry``/``linear_depths`` values pair by pair; the kernel's
+    world-frame vectors are rotated into the oracle's camera frames."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_scenes(self, seed):
@@ -70,14 +71,16 @@ class TestKernelAgainstPairOracle:
             x_left = track.point_in_view(left)
             anchor = po.pair_geometry(poses[left], poses[right], x_left, track.point_in_view(right))
             assert terms.theta_sq[k] == pytest.approx(anchor.theta**2, rel=1e-12)
-            assert np.allclose(terms.a[k], anchor.a_vec, rtol=0, atol=1e-13)
+            assert np.allclose(Rs[right] @ terms.a[k], anchor.a_vec, rtol=0, atol=1e-13)
             assert terms.depth[k] == pytest.approx(po.linear_depths(anchor)[0], rel=1e-10)
             for row in range(table.row_start[k], table.row_start[k + 1]):
                 view = int(table.row_view[row])
                 pair = po.pair_geometry(poses[left], poses[view], x_left, track.point_in_view(view))
                 assert np.linalg.norm(terms.W[row]) == pytest.approx(pair.theta, rel=1e-12)
-                assert np.allclose(terms.U[row], pair.ray_i, rtol=0, atol=1e-14)
-                assert np.allclose(terms.T[row], pair.rel_translation, rtol=0, atol=1e-12)
+                assert np.allclose(Rs[view] @ terms.g[k], pair.ray_i, rtol=0, atol=1e-14)
+                assert np.allclose(
+                    Rs[view] @ terms.T[row], pair.rel_translation, rtol=0, atol=1e-12
+                )
 
     def test_rotations_only_leaves_center_terms_empty(self, scene_s1):
         bases, _ = select_bases(scene_s1.tracks, scene_s1.rotations)

@@ -182,6 +182,10 @@ class TestParameterization:
         reference = 3
         centers = prob.gt_centers()
         anchor = select_anchor_view(prob.tracks, prob.n_views, reference, centers)
+        # No view but the reference has a center to carry the scale.
+        only_reference = np.zeros_like(centers)
+        only_reference[reference] = centers[reference]
+        assert select_anchor_view(prob.tracks, prob.n_views, reference, only_reference) is None
         unit = centers[anchor] / np.linalg.norm(centers[anchor])
         target = np.array([np.cos(np.radians(10)), np.sin(np.radians(10)), 0.0])
         axis = np.cross(unit, target)

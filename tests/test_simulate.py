@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,26 @@ class TestRotationPerturbation:
         perturbed = po.perturb_rotations(scene_s1, 2.0, seed=19)
         for pose, original in zip(perturbed.gt_poses, scene_s1.gt_poses):
             assert np.array_equal(pose.rotation, original.rotation)
+
+    def test_scene_config_rotation_noise(self):
+        # generate_scene perturbs the solver rotations last: the scene of
+        # the same seed without rotation noise is the ground truth.
+        degrees = 0.5
+        config = po.SceneConfig(n_views=5, n_points=8, seed=23, obs_noise_sigma=1e-3)
+        clean = po.generate_scene(config)
+        noisy = po.generate_scene(replace(config, rotation_noise_deg=degrees))
+        again = po.generate_scene(replace(config, rotation_noise_deg=degrees))
+        for R, pose in zip(noisy.rotations, noisy.gt_poses):
+            assert rotation_geodesic_deg(R, pose.rotation) == pytest.approx(degrees, abs=1e-9)
+        assert np.array_equal(noisy.gt_points, clean.gt_points)
+        for pose, original in zip(noisy.gt_poses, clean.gt_poses):
+            assert np.array_equal(pose.rotation, original.rotation)
+            assert np.array_equal(pose.center, original.center)
+        for track, original in zip(noisy.tracks, clean.tracks):
+            assert np.array_equal(track.points, original.points)
+        assert np.array_equal(again.rotations, noisy.rotations)
+        for track, repeat in zip(noisy.tracks, again.tracks):
+            assert np.array_equal(track.points, repeat.points)
 
 
 class TestGaussianStream:

@@ -72,6 +72,29 @@ class TestRowBlocks:
             bound = 1e-12 * max(np.abs(centers).max(), 1.0)
             assert np.linalg.norm(res, axis=1).max() < bound
 
+    def test_world_blocks_have_rank_two(self):
+        # Block rows live in the world frame: the row's ray x = R_i' X_i
+        # annihilates both B = (x x g) a' and C = theta^2 [x]x, so only
+        # two of the three rows of [B C] are independent.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=20, n_points=200, seed=3, obs_noise_sigma=1e-3)
+        )
+        system = po.assemble_system(prob.tracks, prob.rotations, 0)
+        rays = [
+            prob.rotations[view].T @ np.append(xy, 1.0)
+            for track in sorted(prob.tracks, key=lambda t: t.track_id)
+            for view, xy in zip(track.view_ids.tolist(), track.points)
+            if view != system.bases[track.track_id].left
+        ]
+        x = np.stack(rays)
+        assert len(x) == len(system.B)
+        for blocks in (system.B, system.C):
+            largest = np.abs(blocks).max(axis=(1, 2))
+            annihilated = np.abs(np.einsum("ki,kij->kj", x, blocks)).max(axis=1)
+            assert np.all(annihilated <= 1e-14 * largest)
+        s = np.linalg.svd(np.concatenate((system.B, system.C), axis=2), compute_uv=False)
+        assert np.all(s[:, 2] <= 1e-14 * s[:, 0])
+
     def test_parallel_ray_keeps_gluing_row(self):
         # Bitwise-identical observation in a co-located view zeroes B
         # exactly, but C survives: the row reduces to C (t_1 - t_0) = 0,
