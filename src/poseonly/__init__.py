@@ -18,16 +18,13 @@ from .evaluate import (
 )
 from .geometry import (
     CameraPose,
-    GlobalScale,
     PairGeometry,
     Track,
     compute_pair_geometry,
     homogenize,
     linear_depths,
-    linear_translation_residual,
     pair_depths,
     pair_geometry,
-    pair_residual,
     project,
     relative_pose,
 )
@@ -48,7 +45,6 @@ from .reconstruct import (
     reconstruct_all,
     reconstruct_point,
     triangulate_dlt,
-    weighted_depth,
 )
 from .simulate import (
     SceneConfig,

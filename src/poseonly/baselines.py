@@ -11,10 +11,9 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DisconnectedViewGraph
-from .geometry import skew
+from .geometry import skew_batch
 from .translation_solver import SVD_RESOLUTION, floored_gap
 
 
@@ -47,12 +46,11 @@ class RelativeDirection:
         object.__setattr__(self, "dir", d)
 
 
-def directions_from_poses(poses, pairs=None, min_baseline: float = 1e-12):
+def directions_from_poses(poses, pairs=None):
     """Exact relative directions from known poses.
 
-    Defaults to the complete view graph; pairs with baseline below
-    ``min_baseline`` (co-located cameras) carry no direction and are
-    skipped.
+    Defaults to the complete view graph; pairs with baseline at or below
+    1e-12 (co-located cameras) carry no direction and are skipped.
     """
     n = len(poses)
     if pairs is None:
@@ -61,7 +59,7 @@ def directions_from_poses(poses, pairs=None, min_baseline: float = 1e-12):
     for i, j in pairs:
         rel = poses[j].rotation @ (poses[i].center - poses[j].center)
         norm = np.linalg.norm(rel)
-        if norm <= min_baseline:
+        if norm <= 1e-12:
             continue
         out.append(RelativeDirection(i, j, rel / norm))
     return out
@@ -97,49 +95,39 @@ def direction_translations(directions, rotations, reference_view: int = 0) -> Di
     """
     rotations = np.asarray(rotations, dtype=float)
     n = len(rotations)
+    if not 0 <= reference_view < n:
+        raise ValueError(f"reference view {reference_view} out of range")
     if not directions:
         raise DisconnectedViewGraph("no relative directions supplied")
     _check_connected(directions, n)
 
-    col_of_view = np.full(n, -1, dtype=int)
-    others = [v for v in range(n) if v != reference_view]
-    col_of_view[others] = np.arange(n - 1)
-
-    rows, cols, vals = [], [], []
-    for r, d in enumerate(directions):
-        K = skew(d.dir) @ rotations[d.j]
-        for view, sign in ((d.i, 1.0), (d.j, -1.0)):
-            c = col_of_view[view]
-            if c < 0:
-                continue
-            for a in range(3):
-                for b in range(3):
-                    rows.append(3 * r + a)
-                    cols.append(3 * c + b)
-                    vals.append(sign * K[a, b])
-    mat = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(3 * len(directions), 3 * (n - 1))
-    ).toarray()
+    others = np.delete(np.arange(n), reference_view)
+    first = np.array([d.i for d in directions])
+    second = np.array([d.j for d in directions])
+    dirs = np.stack([d.dir for d in directions])
+    # Row block r is dir_r x R_j (t_i - t_j): +K in view i's columns and
+    # -K in view j's, then the reference view's columns go.
+    K = skew_batch(dirs) @ rotations[second]
+    rows = np.arange(len(directions))
+    blocks = np.zeros((len(directions), 3, n, 3))
+    blocks[rows, :, first, :] = K
+    blocks[rows, :, second, :] = -K
+    mat = np.delete(
+        blocks.reshape(3 * len(directions), 3 * n), 3 * reference_view + np.arange(3), axis=1
+    )
 
     _, s, Vt = np.linalg.svd(mat, full_matrices=False)
-    spectrum = s[::-1][: min(3, mat.shape[1])]
+    spectrum = s[::-1][:3]  # n >= 2 views leave at least 3 columns
     floor = SVD_RESOLUTION * float(s[0])
-    gap = floored_gap(float(spectrum[0]), float(spectrum[1]), floor) if len(spectrum) > 1 else float("inf")
+    gap = floored_gap(float(spectrum[0]), float(spectrum[1]), floor)
     translations = np.zeros((n, 3))
     translations[others] = Vt[-1].reshape(-1, 3)
 
-    pos = neg = 0
-    for d in directions:
-        score = float(d.dir @ (rotations[d.j] @ (translations[d.i] - translations[d.j])))
-        if score > 0:
-            pos += 1
-        elif score < 0:
-            neg += 1
-    if neg > pos:
+    scores = np.einsum(
+        "ka,kab,kb->k", dirs, rotations[second], translations[first] - translations[second]
+    )
+    if (scores < 0).sum() > (scores > 0).sum():
         translations = -translations
-        translations[reference_view] = 0.0
-    norm = np.linalg.norm(translations[others])
-    if norm > 0:
-        translations = translations / norm
-        translations[reference_view] = 0.0
-    return DirectionSolution(translations, np.asarray(spectrum), gap)
+    translations = translations / np.linalg.norm(translations[others])
+    translations[reference_view] = 0.0  # not -0.0 after a flip
+    return DirectionSolution(translations, spectrum, gap)

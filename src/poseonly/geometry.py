@@ -1,4 +1,10 @@
-"""Two-view and multi-view pose-only geometric primitives.
+"""Camera, track and pair types, vector and rotation helpers, and the
+two-view pose-only oracle.
+
+The multi-view constraint lives in the batched anchored-depth kernel of
+:mod:`poseonly.observations`; the two-view quantities here
+(:class:`PairGeometry`, :func:`pair_depths`, :func:`linear_depths`) are
+the independent oracle its tests check it against.
 
 Conventions used throughout the package:
 
@@ -125,17 +131,6 @@ class CameraPose:
 
 
 @dataclass(frozen=True)
-class GlobalScale:
-    """A global scale factor applied jointly to all centers and points."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"scale must be positive, got {self.alpha!r}")
-
-
-@dataclass(frozen=True)
 class Track:
     """All observations of one 3D feature across views.
 
@@ -179,7 +174,7 @@ class PairGeometry:
 
     ``ray_i`` is the left ray rotated into the right frame
     (``R_ij @ X_i``), ``ray_j`` the homogenized right observation; both
-    are cached because every linear residual form below consumes them.
+    are cached for :func:`pair_depths` and the kernel's tests.
     ``a_vec`` and ``b_vec`` are the vectors that express the left/right
     depths linearly in the relative translation:
     ``d_i = a_vec . t / theta**2`` and ``d_j = b_vec . t / theta**2``.
@@ -293,61 +288,3 @@ def linear_depths(pg: PairGeometry):
     t = pg.rel_translation
     theta_sq = pg.theta * pg.theta
     return float(pg.a_vec @ t) / theta_sq, float(pg.b_vec @ t) / theta_sq
-
-
-def pair_residual(pg: PairGeometry, x_i, x_j) -> np.ndarray:
-    """Two-view pose-only constraint residual ``d_j X_j - d_i R_ij X_i - t``.
-
-    Uses the signed linear depths; exactly zero (to rounding) on
-    consistent geometry.
-    """
-    d_i, d_j = linear_depths(pg)
-    return (
-        d_j * homogenize(x_j)
-        - d_i * (pg.rel_rotation @ homogenize(x_i))
-        - pg.rel_translation
-    )
-
-
-def linear_translation_residual(
-    pair: PairGeometry, base: PairGeometry | None = None, form: str = "two_view"
-) -> np.ndarray:
-    """Linear-in-translation residual of one pair, or of a pair anchored
-    to a base pair sharing the same left view.
-
-    two_view:   (X_j b' - R_ij X_i a' - theta^2 I) t_ij         for ``pair``
-    multi_view: th_p^2 (R X_left)(a_b . t_b) + th_b^2 th_p^2 t_p
-                - th_b^2 X_right (b_p . t_p)
-                where suffix ``p`` is ``pair`` (left, i) and ``b`` is the
-                anchor ``base`` (left, right-anchor).
-
-    In the multi-view form the depth of the shared left view is taken
-    from the anchor pair, so the a-vector and the translation in the
-    first term must both come from ``base``; pairing base's a-vector
-    with pair's translation (or vice versa) breaks the identity.
-    Both forms vanish on exact geometry and need no theta floor.
-    """
-    if form == "two_view":
-        t = pair.rel_translation
-        return (
-            pair.ray_j * float(pair.b_vec @ t)
-            - pair.ray_i * float(pair.a_vec @ t)
-            - (pair.theta**2) * t
-        )
-    if form == "multi_view":
-        if base is None:
-            raise ValueError("multi_view form requires the anchor pair")
-        th_p = pair.theta**2
-        th_b = base.theta**2
-        t_p = pair.rel_translation
-        return (
-            th_p * pair.ray_i * float(base.a_vec @ base.rel_translation)
-            + th_b * th_p * t_p
-            - th_b * pair.ray_j * float(pair.b_vec @ t_p)
-        )
-    raise ValueError(f"unknown form {form!r}")
-
-
-def scale_scene(centers: np.ndarray, points_w: np.ndarray, scale: GlobalScale):
-    """Apply a global scale to camera centers and world points jointly."""
-    return centers * scale.alpha, points_w * scale.alpha

@@ -85,6 +85,8 @@ class PoseParameterization:
         self.anchor_view = anchor_view
         self.refine_rotations = refine_rotations
         self.anchor_radius = anchor_radius
+        if not 0 <= reference_view < n_views:
+            raise ValueError(f"reference view {reference_view} out of range")
         if anchor_view is not None and (anchor_view == reference_view
                                         or not (anchor_radius and anchor_radius > 0)):
             raise ValueError("anchor view must be a non-reference view with a positive radius")
@@ -362,12 +364,14 @@ def reprojection_stats(poses, points_w, tracks):
     are skipped (rejected points). Observations with non-positive depth
     are excluded from the RMS and counted as cheirality violations.
     Returns (rms, violations, observations_used). The RMS is the root
-    mean square over observations of the residual 2-vector norm.
+    mean square over observations of the residual 2-vector norm; it is
+    inf when no observation is scored (no point, or every observation
+    behind its camera), so an empty fit never reads as a perfect one.
     """
     Rs, Cs = pose_arrays(poses)
     scored = [t for t in tracks if t.track_id in points_w]
     if not scored:
-        return 0.0, 0, 0
+        return float("inf"), 0, 0
     owner, V, O = flatten_tracks(scored)
     points = np.stack([np.asarray(points_w[t.track_id], dtype=float) for t in scored])
     P = points[owner]

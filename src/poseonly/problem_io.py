@@ -52,15 +52,21 @@ breaks and UTF-8), :func:`_header` (header, version and counts line),
 :func:`_view_slot` (view range and repeats), :func:`_pose_record` (the
 ``G`` and ``P`` records) and :func:`_require_all` (a record for every
 view). The four writers (problem, poses, point listing and PLY) share
-:func:`_write_lines`, and ``G`` and ``P`` fields are formatted by
-:func:`_pose_fields`, which raises ``DivergedNumerically`` on a pose the
+:func:`_write_lines`, and ``G`` and ``P`` lines are formatted by
+:func:`_pose_lines`, which raises ``DivergedNumerically`` on a pose the
 readers would refuse, before the file is opened.
+
+Quaternions convert to and from rotation matrices through scipy's
+``Rotation`` (:func:`quat_to_rotation`, :func:`rotation_to_quat`), once
+per file in each direction: the writers convert all of a file's
+rotations in one call, and the readers keep each record's normalized
+quaternion and convert them all after the record loop (:func:`_poses`).
 """
 
 import io
-import math
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from .errors import DivergedNumerically, ParseError, VersionUnsupported
 from .geometry import CameraPose, Track
@@ -75,58 +81,16 @@ _O_RECORD = np.dtype(
 
 
 def quat_to_rotation(q) -> np.ndarray:
-    """Unit quaternion (scalar first) to a world-to-camera rotation."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Unit quaternions (scalar first), one (4,) or a stack (k, 4), to
+    world-to-camera rotations."""
+    return Rotation.from_quat(q, scalar_first=True).as_matrix()
 
 
 def rotation_to_quat(R) -> np.ndarray:
-    """Rotation matrix to a unit quaternion, scalar first.
-
-    Shepperd's branching keeps the extraction stable; the sign is
-    canonicalized (first nonzero component positive) so output files are
-    deterministic.
-    """
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
-             (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s,
-             (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] > R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s,
-             (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
-             (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    q = q / np.linalg.norm(q)
-    for component in q:
-        if component > 0:
-            break
-        if component < 0:
-            q = -q
-            break
-    return q
+    """Rotations, one (3, 3) or a stack (k, 3, 3), to unit quaternions,
+    scalar first, with the canonical sign (first nonzero component
+    positive) so output files are deterministic."""
+    return Rotation.from_matrix(R).as_quat(canonical=True, scalar_first=True)
 
 
 def _fmt(value: float) -> str:
@@ -140,13 +104,19 @@ def _storable_center(center) -> bool:
         return bool(np.isfinite(center @ center))  # also false on nan and inf
 
 
-def _pose_fields(view, pose) -> str:
-    """The quaternion and center fields of view ``view``'s ``G`` or ``P``
-    line; a pose the readers would refuse raises DivergedNumerically, so
-    no stage writes a file the next one cannot read."""
-    if not _storable_center(pose.center):
-        raise DivergedNumerically(f"view {view}: non-finite center or center squared norm")
-    return " ".join(_fmt(v) for v in (*rotation_to_quat(pose.rotation), *pose.center))
+def _pose_lines(tag, poses) -> list:
+    """The ``G`` or ``P`` line of every view, ``tag`` first, with one
+    quaternion conversion for all of them; a pose the readers would
+    refuse raises DivergedNumerically, so no stage writes a file the next
+    one cannot read."""
+    for view, pose in enumerate(poses):
+        if not _storable_center(pose.center):
+            raise DivergedNumerically(f"view {view}: non-finite center or center squared norm")
+    quats = rotation_to_quat(np.reshape([pose.rotation for pose in poses], (-1, 3, 3)))
+    return [
+        f"{tag} {view} " + " ".join(_fmt(v) for v in (*q, *pose.center))
+        for view, (q, pose) in enumerate(zip(quats, poses))
+    ]
 
 
 def _write_lines(path, lines) -> None:
@@ -184,17 +154,24 @@ def _view_slot(token, slots, tag, line_no) -> int:
 
 
 def _pose_record(toks, slots, line_no) -> None:
-    """Store the pose of a ``<tag> view qw qx qy qz cx cy cz`` record
-    (``G`` or ``P``) in its view's slot."""
+    """Store the normalized quaternion and the center of a ``<tag> view
+    qw qx qy qz cx cy cz`` record (``G`` or ``P``) in its view's slot."""
     tag = toks[0]
     if len(toks) != 9:
         raise ParseError(f"{tag} line needs view_id qw qx qy qz cx cy cz", line=line_no)
     view = _view_slot(toks[1], slots, tag, line_no)
-    rotation = quat_to_rotation(_parse_quat(toks[2:6], line_no))
+    quat = _parse_quat(toks[2:6], line_no)
     center = np.array([float(t) for t in toks[6:9]])
     if not _storable_center(center):
         raise ParseError("non-finite center or center squared norm", line=line_no)
-    slots[view] = CameraPose(rotation, center)
+    slots[view] = (quat, center)
+
+
+def _poses(slots) -> list:
+    """The camera poses of a file's filled ``G`` or ``P`` slots, with one
+    quaternion conversion for all of them."""
+    rotations = quat_to_rotation(np.reshape([quat for quat, _ in slots], (-1, 4)))
+    return [CameraPose(R, center) for R, (_, center) in zip(rotations, slots)]
 
 
 def _require_all(slots, tag) -> None:
@@ -208,15 +185,14 @@ def write_problem(path, problem: SceneProblem) -> None:
     tracks = sorted(problem.tracks, key=lambda t: t.track_id)
     n_obs = sum(len(t) for t in tracks)
     lines = ["POSEONLY 1", f"{problem.n_views} {len(tracks)} {n_obs}"]
-    for view, R in enumerate(problem.rotations):
-        lines.append(f"V {view} " + " ".join(_fmt(c) for c in rotation_to_quat(R)))
+    for view, q in enumerate(rotation_to_quat(np.reshape(problem.rotations, (-1, 3, 3)))):
+        lines.append(f"V {view} " + " ".join(_fmt(c) for c in q))
     for track in tracks:
         # Python ints and floats format several times faster than numpy
         # scalars, with the same text
         for view, (x, y) in zip(track.view_ids.tolist(), track.points.tolist()):
             lines.append(f"O {track.track_id} {view} {x!r} {y!r}")
-    for view, pose in enumerate(problem.gt_poses or []):
-        lines.append(f"G {view} {_pose_fields(view, pose)}")
+    lines += _pose_lines("G", problem.gt_poses or [])
     lines.append(f"R {problem.reference_view}")
     _write_lines(path, lines)
 
@@ -345,7 +321,7 @@ def read_problem(path) -> SceneProblem:
     n_views, n_tracks, n_obs = _header(
         tokens_of, len(starts), "POSEONLY", ("n_views", "n_tracks", "n_obs")
     )
-    rotations = [None] * n_views
+    quats = [None] * n_views  # of the V lines
     gt_poses = [None] * n_views
     reference_view = None
 
@@ -356,8 +332,8 @@ def read_problem(path) -> SceneProblem:
             if tag == "V":
                 if len(toks) != 6:
                     raise ParseError("V line needs view_id qw qx qy qz", line=line_no)
-                view = _view_slot(toks[1], rotations, tag, line_no)
-                rotations[view] = quat_to_rotation(_parse_quat(toks[2:6], line_no))
+                view = _view_slot(toks[1], quats, tag, line_no)
+                quats[view] = _parse_quat(toks[2:6], line_no)
             elif tag == "G":
                 _pose_record(toks, gt_poses, line_no)
             elif tag == "R":
@@ -421,7 +397,7 @@ def read_problem(path) -> SceneProblem:
     if defects:
         raise min(defects, key=lambda exc: exc.line)
 
-    _require_all(rotations, "V")
+    _require_all(quats, "V")
     if reference_view is None:
         raise ParseError("missing R reference line")
     first = np.flatnonzero(new_track)
@@ -442,9 +418,10 @@ def read_problem(path) -> SceneProblem:
         gt_poses = None
     else:
         _require_all(gt_poses, "G")
+        gt_poses = _poses(gt_poses)
 
     return SceneProblem(
-        rotations=np.stack(rotations),
+        rotations=quat_to_rotation(np.reshape(quats, (-1, 4))),
         tracks=tracks,
         reference_view=reference_view,
         gt_poses=gt_poses,
@@ -454,10 +431,7 @@ def read_problem(path) -> SceneProblem:
 
 def write_poses(path, poses) -> None:
     """Serialize estimated poses for the next pipeline stage."""
-    lines = ["POSEONLY-POSES 1", str(len(poses))]
-    for view, pose in enumerate(poses):
-        lines.append(f"P {view} {_pose_fields(view, pose)}")
-    _write_lines(path, lines)
+    _write_lines(path, ["POSEONLY-POSES 1", str(len(poses)), *_pose_lines("P", poses)])
 
 
 def read_poses(path) -> list:
@@ -477,7 +451,7 @@ def read_poses(path) -> list:
         except ValueError as exc:
             raise ParseError(f"bad numeric field ({exc})", line=idx + 1)
     _require_all(poses, "P")
-    return poses
+    return _poses(poses)
 
 
 def write_points(path, points) -> None:

@@ -81,35 +81,25 @@ def _fuse(table, R, C):
     return fused, weight_sum, contributing, positions
 
 
-def _reconstruct_one(track: Track, base: BaseViewPair, poses) -> ReconstructedPoint:
+def reconstruct_point(track: Track, base: BaseViewPair, poses) -> ReconstructedPoint:
+    """Push the parallax-weighted fused depth of the track in its
+    anchor-left view back along the anchor-left ray into the world.
+
+    Weights are theta / sum(theta) over usable pairs, so they sum to one
+    and pairs nearing pure rotation fade out smoothly.
+    """
     R, C = pose_arrays(poses)
     table = build_table([track], {track.track_id: base})
     (fused,), (weight_sum,), (contributing,), (position,) = _fuse(table, R, C)
     if contributing == 0:
         raise AllPairsDegenerate(f"track {track.track_id}: no pair carries parallax")
+    if fused <= 0:
+        raise NegativeDepth(
+            f"track {track.track_id}: fused depth {float(fused)!r} is not positive"
+        )
     return ReconstructedPoint(
         track.track_id, position, float(fused), float(weight_sum), int(contributing)
     )
-
-
-def weighted_depth(track: Track, base: BaseViewPair, poses):
-    """Parallax-weighted fused depth of the track in its anchor-left view.
-
-    Weights are theta / sum(theta) over usable pairs, so they sum to one
-    and pairs nearing pure rotation fade out smoothly.
-    """
-    point = _reconstruct_one(track, base, poses)
-    return point.fused_depth, point.weight_sum
-
-
-def reconstruct_point(track: Track, base: BaseViewPair, poses) -> ReconstructedPoint:
-    """Push the fused depth back along the anchor-left ray into the world."""
-    point = _reconstruct_one(track, base, poses)
-    if point.fused_depth <= 0:
-        raise NegativeDepth(
-            f"track {track.track_id}: fused depth {point.fused_depth!r} is not positive"
-        )
-    return point
 
 
 def reconstruct_all(

@@ -65,3 +65,22 @@ class TestDirectionSolver:
         directions = po.directions_from_poses(prob.gt_poses)
         pairs = {(d.i, d.j) for d in directions}
         assert (0, 1) not in pairs  # views 0 and 1 share a center
+
+    @pytest.mark.parametrize("reference_view", [3, 6])
+    def test_nonzero_reference_view(self, reference_view):
+        prob = exact_generic_scene(70, n_views=7, n_points=20)
+        directions = po.directions_from_poses(prob.gt_poses)
+        solution = po.direction_translations(directions, prob.rotations, reference_view)
+        others = np.delete(np.arange(7), reference_view)
+        assert np.array_equal(solution.translations[reference_view], np.zeros(3))
+        assert np.linalg.norm(solution.translations[others]) == pytest.approx(1.0, abs=1e-12)
+        assert po.aligned_center_rms(solution.translations, prob.gt_centers()) < 1e-8
+
+    @pytest.mark.parametrize("reference_view", [-1, 7])
+    def test_out_of_range_reference_view_raises(self, reference_view):
+        # The reference columns are dropped by index, where -1 would
+        # silently name the last view.
+        prob = exact_generic_scene(70, n_views=7, n_points=20)
+        directions = po.directions_from_poses(prob.gt_poses)
+        with pytest.raises(ValueError, match="reference view"):
+            po.direction_translations(directions, prob.rotations, reference_view)

@@ -114,6 +114,24 @@ class TestPipeline:
         assert code == 1
         assert "InputError" in err and "G lines" in err
 
+    def test_eval_without_scored_points_is_not_a_perfect_fit(self, tmp_path, capsys):
+        # Negated centers put every point behind its cameras: no point
+        # survives, so nothing is scored and the rms must not read 0.
+        problem = str(tmp_path / "exact.po")
+        assert run(["simulate", "--views", "5", "--points", "10", "--sigma", "0",
+                    "--seed", "3", "-o", problem], capsys)[0] == 0
+        solved = str(tmp_path / "exact.poses")
+        assert run(["solve", problem, "-o", solved], capsys)[0] == 0
+        negated = str(tmp_path / "negated.poses")
+        po.write_poses(negated, [po.CameraPose(p.rotation, -p.center)
+                                 for p in po.read_poses(solved)])
+        code, out, _ = run(["eval", problem, "--poses", negated], capsys)
+        assert code == 0
+        report = kv(out)
+        assert report["points_accepted"] == "0"
+        assert report["points_rejected_negative_depth"] == "10"
+        assert report["reprojection_rms"] == "inf"
+
     def test_baseline_generic_succeeds(self, tmp_path, capsys):
         problem = str(tmp_path / "ring.po")
         run(

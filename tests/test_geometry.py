@@ -4,13 +4,10 @@ import pytest
 import poseonly as po
 from poseonly.errors import DegeneratePair, NonPositiveDepth
 from poseonly.geometry import (
-    GlobalScale,
     homogenize,
-    linear_translation_residual,
     pair_geometry,
     rotation_about,
     rotation_geodesic_deg,
-    scale_scene,
     skew,
 )
 
@@ -178,12 +175,9 @@ class TestHomogeneity:
         rng = make_rng(12)
         for _ in range(50):
             pose_i, pose_j, point, x_i, x_j = random_exact_pair(rng)
-            scaled = scale_scene(
-                np.stack([pose_i.center, pose_j.center]), point[None, :], GlobalScale(2.0)
-            )
-            pose_i2 = po.CameraPose(pose_i.rotation, scaled[0][0])
-            pose_j2 = po.CameraPose(pose_j.rotation, scaled[0][1])
-            point2 = scaled[1][0]
+            pose_i2 = po.CameraPose(pose_i.rotation, 2.0 * pose_i.center)
+            pose_j2 = po.CameraPose(pose_j.rotation, 2.0 * pose_j.center)
+            point2 = 2.0 * point
             assert np.array_equal(po.project(pose_i2, point2), x_i)
             assert np.array_equal(po.project(pose_j2, point2), x_j)
             pg = pair_geometry(pose_i, pose_j, x_i, x_j)
@@ -206,76 +200,6 @@ class TestHomogeneity:
         assert po.linear_depths(pg2)[0] == pytest.approx(alpha * po.linear_depths(pg)[0], rel=1e-12)
 
 
-class TestPairResidual:
-    def test_exact_geometry_zero(self):
-        assert np.linalg.norm(po.pair_residual(worked_pair(), [0.0, 0.0], [0.2, 0.0])) < 1e-12
-
-    def test_observation_error_grows_residual(self):
-        # Depths from the exact pair, residual evaluated at a perturbed
-        # right observation: the residual picks up d_j times the shift.
-        pg = worked_pair()
-        res = po.pair_residual(pg, [0.0, 0.0], [0.2 + 1e-3, 0.0])
-        assert np.linalg.norm(res) > 1e-4
-        assert np.allclose(res, [5e-3, 0.0, 0.0], atol=1e-12)
-
-    def test_epipolar_consistent_perturbation_stays_zero(self):
-        # Sliding the observation along the epipolar line re-derives a
-        # consistent pair (it matches a different 3D point), so the
-        # residual of the re-computed geometry vanishes.
-        pg_bad = po.compute_pair_geometry(
-            (IDENTITY, np.array([1.0, 0, 0])), np.array([0.0, 0.0]), np.array([0.2 + 1e-3, 0.0])
-        )
-        assert np.linalg.norm(po.pair_residual(pg_bad, [0.0, 0.0], [0.2 + 1e-3, 0.0])) < 1e-12
-
-    def test_homogeneous_degree_one(self):
-        pg = worked_pair()
-        doubled = po.compute_pair_geometry(
-            (pg.rel_rotation, 2.0 * pg.rel_translation), [0.0, 0.0], [0.2, 0.0]
-        )
-        r1 = po.pair_residual(pg, [0.0, 0.0], [0.2, 0.0])
-        r2 = po.pair_residual(doubled, [0.0, 0.0], [0.2, 0.0])
-        assert np.array_equal(r2, 2.0 * r1)
-
-
-class TestLinearTranslationResidual:
-    def test_two_view_exact_zero(self):
-        assert np.linalg.norm(linear_translation_residual(worked_pair())) < 1e-12
-
-    def test_pure_rotation_zero(self):
-        pg = po.compute_pair_geometry((IDENTITY, np.zeros(3)), [0.3, 0.1], [0.3, 0.1])
-        assert np.linalg.norm(linear_translation_residual(pg)) == 0.0
-
-    def test_multi_view_exact_zero_on_s1(self):
-        s1 = po.scene_s1()
-        poses = s1.gt_poses
-        for track in s1.tracks:
-            base = pair_geometry(poses[1], poses[2], track.points[1], track.points[2])
-            pair = pair_geometry(poses[1], poses[0], track.points[1], track.points[0])
-            res = linear_translation_residual(pair, base, form="multi_view")
-            assert np.linalg.norm(res) < 1e-12
-
-    def test_multi_view_random_scenes(self):
-        rng = make_rng(55)
-        for _ in range(100):
-            pose_a, pose_b, point, x_a, x_b = random_exact_pair(rng)
-            pose_c = po.CameraPose(pose_a.rotation, pose_a.center + np.array([0.4, 0.7, -0.2]))
-            try:
-                x_c = po.project(pose_c, point)
-            except NonPositiveDepth:
-                continue
-            base = pair_geometry(pose_a, pose_b, x_a, x_b)
-            pair = pair_geometry(pose_a, pose_c, x_a, x_c)
-            scale = max(base.theta, pair.theta) ** 2 * max(
-                1.0, np.linalg.norm(pair.rel_translation)
-            )
-            res = linear_translation_residual(pair, base, form="multi_view")
-            assert np.linalg.norm(res) < 1e-10 * max(scale, 1e-6)
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            linear_translation_residual(worked_pair(), form="nope")
-
-
 class TestTypes:
     def test_rotation_validation(self):
         with pytest.raises(ValueError):
@@ -288,10 +212,6 @@ class TestTypes:
             po.Track(0, [0], [[0.0, 0.0]])
         with pytest.raises(ValueError):
             po.Track(0, [1, 1], [[0.0, 0.0], [0.1, 0.1]])
-
-    def test_global_scale_positive(self):
-        with pytest.raises(ValueError):
-            GlobalScale(0.0)
 
     def test_homogenize_appends_exactly_one(self):
         h = homogenize(np.array([0.25, -0.5]))

@@ -28,6 +28,24 @@ class TestQuaternions:
         nonzero = q[np.abs(q) > 1e-12]
         assert nonzero[0] > 0
 
+    @pytest.mark.parametrize(
+        "R",
+        [
+            np.diag([1.0, -1.0, -1.0]),  # half turn about x
+            np.diag([-1.0, 1.0, -1.0]),  # about y
+            np.diag([-1.0, -1.0, 1.0]),  # about z
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),  # (1,1,0)/sqrt2
+            np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),  # (0,-1,1)/sqrt2
+        ],
+    )
+    def test_half_turn_canonical_sign(self, R):
+        # w = 0 at a half turn, so the sign rests on the first nonzero
+        # vector component: the case the scalar-first rule leaves open.
+        q = rotation_to_quat(R)
+        assert q[0] == 0.0
+        assert q[np.flatnonzero(q)[0]] > 0
+        assert np.abs(quat_to_rotation(q) - R).max() <= 1e-15
+
 
 class TestProblemRoundTrip:
     def test_s1_field_for_field(self, tmp_path, scene_s1):

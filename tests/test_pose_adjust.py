@@ -320,6 +320,16 @@ class TestOptimize:
         with pytest.raises(IndexError):
             po.pa_optimize(prob.gt_poses, list(prob.tracks) + [stray], reference_view=0)
 
+    @pytest.mark.parametrize("reference_view", [7, -1])
+    def test_out_of_range_reference_view_raises(self, reference_view):
+        # With no view held fixed the gauge would be free and every
+        # center, the reference one included, would drift.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=5, n_points=12, seed=3, obs_noise_sigma=1e-3)
+        )
+        with pytest.raises(ValueError, match="reference view"):
+            po.pa_optimize(prob.gt_poses, prob.tracks, reference_view=reference_view)
+
     def test_nonfinite_input_raises(self):
         prob = po.generate_scene(po.SceneConfig(n_views=5, n_points=8, seed=27))
         poses = list(prob.gt_poses)

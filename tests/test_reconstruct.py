@@ -27,14 +27,16 @@ class TestWeightedDepth:
         # Anchor-left view 1: pair depths are both 5, weights 0.2/0.6 and
         # 0.4/0.6, so the fusion returns 5 with weight sum 0.6.
         base = po.BaseViewPair(1, 2, 0.4)
-        depth, weight_sum = po.weighted_depth(scene_s1.tracks[0], base, scene_s1.gt_poses)
+        point = po.reconstruct_point(scene_s1.tracks[0], base, scene_s1.gt_poses)
+        depth, weight_sum = point.fused_depth, point.weight_sum
         assert depth == pytest.approx(5.0, rel=1e-12)
         assert weight_sum == pytest.approx(0.6, rel=1e-12)
 
     def test_two_view_track_single_weight(self, scene_s1):
         track = po.Track(3, [1, 2], scene_s1.tracks[0].points[1:])
         base = po.BaseViewPair(1, 2, 0.4)
-        depth, weight_sum = po.weighted_depth(track, base, scene_s1.gt_poses)
+        point = po.reconstruct_point(track, base, scene_s1.gt_poses)
+        depth, weight_sum = point.fused_depth, point.weight_sum
         assert depth == pytest.approx(5.0, rel=1e-12)
         assert weight_sum == pytest.approx(0.4, rel=1e-12)
 
@@ -42,7 +44,7 @@ class TestWeightedDepth:
         pose = po.CameraPose(np.eye(3), np.zeros(3))
         track = po.Track(0, [0, 1], [[0.1, 0.2], [0.1, 0.2]])
         with pytest.raises(AllPairsDegenerate):
-            po.weighted_depth(track, po.BaseViewPair(0, 1, 0.0), [pose, pose])
+            po.reconstruct_point(track, po.BaseViewPair(0, 1, 0.0), [pose, pose])
 
 
 class TestReconstructPoint:
@@ -122,7 +124,8 @@ class TestReconstructAll:
         poses = prob.gt_poses
         for track in prob.tracks:
             base = po.select_base_views(track, rotations)
-            fused, weight_sum = po.weighted_depth(track, base, poses)
+            point = po.reconstruct_point(track, base, poses)
+            fused, weight_sum = point.fused_depth, point.weight_sum
             thetas, depths = [], []
             for view in track.view_ids:
                 if view == base.left:
