@@ -13,6 +13,11 @@ sphere through a two-parameter tangent update. Damped (Levenberg-
 Marquardt) normal equations with Marquardt diagonal scaling drive the
 iteration; steps that do not lower the cost are rejected, so the cost
 history is non-increasing by construction.
+
+The optimizer builds its normal equations from the block-sparse
+factors of the Jacobian, J6 = Jc + Jp D (:func:`_factors`), and never
+forms J; :func:`pa_jacobian` assembles J from the same factors as the
+oracle the tests check against.
 """
 
 from dataclasses import dataclass
@@ -170,7 +175,8 @@ def select_anchor_view(tracks, n_views, reference_view, centers) -> int | None:
 def _residuals(table, Rs, Cs, on_degenerate):
     """One 2-vector per table row (tracks by id, views in track order,
     anchor-left view skipped); rows of tracks whose anchor pair
-    collapsed (:attr:`AnchorTerms.collapsed`) are zero."""
+    collapsed (:attr:`AnchorTerms.collapsed`) are zero. Returns
+    (residuals, dropped track ids, the kernel's terms)."""
     terms = anchored_terms(table, Rs, Cs)
     degenerate = terms.collapsed
     if on_degenerate == "raise" and degenerate.any():
@@ -185,7 +191,7 @@ def _residuals(table, Rs, Cs, on_degenerate):
     with np.errstate(divide="ignore", invalid="ignore"):
         res = Y[:, :2] / Y[:, 2:3] - table.obs_xy[table.rows]
     res[degenerate[row_track]] = 0.0
-    return res.reshape(-1), table.track_ids[degenerate].tolist()
+    return res.reshape(-1), table.track_ids[degenerate].tolist(), terms
 
 
 def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
@@ -199,31 +205,30 @@ def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
     """
     Rs, Cs = pose_arrays(poses)
     table = build_table(tracks, bases)
-    return _residuals(table, Rs, Cs, on_degenerate)
+    return _residuals(table, Rs, Cs, on_degenerate)[:2]
 
 
-def _jacobian(table, Rs, Cs, param) -> sp.csr_matrix:
-    """Analytic Jacobian at (Rs, Cs) over the parameters of ``param``.
+def _factors(table, Rs, terms):
+    """The three block-sparse factors of the Jacobian J6 = Jc + Jp D over
+    all 6n view (rotation, center) columns, at the poses ``terms`` came
+    from.
 
-    Every residual touches three views: anchor left, anchor right and
-    the observing view. Their (rotation, center) derivatives fill a CSR
-    matrix J6 over all 6n view columns, exactly 18 entries per row, and
-    the parameter map gives ``J = J6 @ S`` (:meth:`PoseParameterization.
-    matrix`); the product drops the reference view and frozen rotations,
-    contracts the scale anchor's center through its tangent basis and
-    sums an observing view equal to the anchor right into one column.
-
-    Row i sees the feature P = C_left + depth g at Y = R_i Q, Q = P - C_i
+    Row k sees the feature P = C_left + depth g at Y = R_i Q, Q = P - C_i
     (world frame throughout). With PR = P_pi R_i, P_pi the Jacobian of
-    the projection Y -> Y[:2] / Y[2], the observing view's block is
-    [-PR [Q]x, -PR]; the anchor views enter through P alone, as PR dP,
-    dP (3 x 12) the per-track derivative of P over the anchor-left and
-    anchor-right (rotation, center): g d' plus depth [g]x at the left
-    rotation and I at the left center. The depth's gradient d is
-    (q x g, a, -(q x g) - a x T_right, -a) / theta^2, with
+    the projection Y -> Y[:2] / Y[2], the row is PR [dP | N]: the
+    observing view's block N = [-[Q]x | -I] and the anchor views through
+    P alone, dP (3 x 12) the per-track derivative of P over the
+    anchor-left and anchor-right (rotation, center): g d' plus depth
+    [g]x at the left rotation and I at the left center. The depth's
+    gradient d is (q x g, a, -(q x g) - a x T_right, -a) / theta^2, with
     q = x_r (x_r . T_right) - T_right |x_r|^2 + 2 depth a.
+
+    Jc holds PR N, one 2x6 block per row at its observing view; Jp holds
+    PR, one 2x3 block per row at its track; D holds dP, two 3x6 blocks
+    per track at its anchor-left and anchor-right views, in that order.
+    All three are zero on collapsed tracks, whose depth can be large
+    enough for their derivatives to overflow.
     """
-    terms = anchored_terms(table, Rs, Cs)
     valid = ~terms.collapsed
     inv_sq = np.divide(1.0, terms.theta_sq, out=np.zeros_like(terms.theta_sq), where=valid)
     g, a = terms.g, terms.a
@@ -238,6 +243,7 @@ def _jacobian(table, Rs, Cs, param) -> sp.csr_matrix:
     dP = g[:, :, None] * d.reshape(-1, 1, 12)
     dP[:, :, :3] += terms.depth[:, None, None] * skew_batch(g)
     dP[:, :, 3:6] += np.eye(3)
+    dP[~valid] = 0.0
 
     row_track = table.row_track
     R = Rs[table.row_view]
@@ -248,28 +254,85 @@ def _jacobian(table, Rs, Cs, param) -> sp.csr_matrix:
         proj = Y[:, :2] / z
         # P_pi @ v = (v[:2] - proj * v[2]) / z
         PR = (R[:, :2] - proj[:, :, None] * R[:, 2:3]) / z[:, :, None]
-    values = np.empty((len(row_track), 2, 3, 6))
-    values[:, :, :2] = (PR @ dP[row_track]).reshape(-1, 2, 2, 6)
-    values[:, :, 2, :3] = -np.cross(PR, Q[:, None, :])
-    values[:, :, 2, 3:] = -PR
-    values[~valid[row_track]] = 0.0
-    views = np.stack((table.left[row_track], table.right[row_track], table.row_view), axis=1)
-    first = 6 * views.astype(np.int32)[:, None, :, None] + np.arange(6, dtype=np.int32)
-    indices = np.broadcast_to(first, values.shape).reshape(-1)
-    indptr = np.arange(0, len(indices) + 1, 18)
-    J6 = sp.csr_matrix((values.reshape(-1), indices, indptr), shape=(len(indptr) - 1, 6 * len(Rs)))
-    return J6 @ param.matrix(Cs)
+    PRN = np.empty((len(row_track), 2, 6))
+    PRN[:, :, :3] = -np.cross(PR, Q[:, None, :])
+    PRN[:, :, 3:] = -PR
+    dead = ~valid[row_track]
+    PR[dead] = 0.0
+    PRN[dead] = 0.0
+
+    rows, tracks, n = len(PR), len(g), len(Rs)
+    one_per_row = np.arange(rows + 1)
+    Jc = sp.bsr_matrix((PRN, table.row_view, one_per_row), shape=(2 * rows, 6 * n))
+    Jp = sp.bsr_matrix((PR, table.row_track, one_per_row), shape=(2 * rows, 3 * tracks))
+    D = sp.bsr_matrix((dP.reshape(-1, 3, 2, 6).transpose(0, 2, 1, 3).reshape(-1, 3, 6),
+                       np.stack((table.left, table.right), axis=1).reshape(-1),
+                       2 * np.arange(tracks + 1)), shape=(3 * tracks, 6 * n))
+    return Jc, Jp, D
+
+
+def _jacobian(table, Rs, Cs, param) -> sp.csr_matrix:
+    """Analytic Jacobian at (Rs, Cs) over the parameters of ``param``:
+    ``J = (Jc + Jp D) S`` from :func:`_factors` and the parameter map S
+    (:meth:`PoseParameterization.matrix`). The sum merges an observing
+    view equal to the anchor right into one block; the product with S
+    drops the reference view and frozen rotations and contracts the
+    scale anchor's center through its tangent basis.
+    """
+    Jc, Jp, D = _factors(table, Rs, anchored_terms(table, Rs, Cs))
+    return (Jc + Jp @ D).tocsr() @ param.matrix(Cs)
 
 
 def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) -> sp.csr_matrix:
     """Analytic Jacobian of :func:`pa_residuals` at the given poses.
 
     Each residual slot touches at most the anchor-left, anchor-right and
-    observing views; all other columns are structurally zero.
+    observing views; all other columns are structurally zero. The
+    optimizer never forms it: this is the oracle its normal equations
+    are checked against.
     """
     Rs, Cs = pose_arrays(poses)
     table = build_table(tracks, bases)
     return _jacobian(table, Rs, Cs, parameterization)
+
+
+def _normal_equations(table, Rs, terms, res, S):
+    """G = J'J and grad = J'r of the pose-only cost at the poses ``terms``
+    and ``res`` were evaluated at, over the parameters of the map ``S``,
+    without forming J.
+
+    With the factors of :func:`_factors`, J6 = Jc + Jp D gives
+        J6'J6 = Jc'Jc + W'D + D'W + D'UD = X + X',
+        X = D'(W + UD/2) + Jc'Jc/2,   J6'r = Jc'r + D'(Jp'r),
+    where W = Jp'Jc holds one 3x6 block per row (at its track and
+    observing view) and U = Jp'Jp one 3x3 block per track. W + UD/2 has
+    one block per observation: a track's rows fill every slot but the
+    anchor-left one, which UD's left block takes, and UD's right block
+    adds to the anchor-right row's. Every block sits where the
+    observation table puts it, so the layout is fixed for a whole
+    :func:`pa_optimize` call. No array grows with views times tracks:
+    the block-sparse ones grow with the observation count, and the dense
+    G6 = X + X' (6n x 6n) gives G = S'G6S and grad = S'g6.
+    """
+    Jc, Jp, D = _factors(table, Rs, terms)
+    PR, tracks, n = Jp.data, len(table.left), len(Rs)
+    track_rows = table.row_start[:-1]
+    W = PR.transpose(0, 2, 1) @ Jc.data
+    # The center half of PR N is -PR, so W's is -PR'PR: U needs no product.
+    U = -np.add.reduceat(W[:, :, 3:], track_rows)
+    half_UD = 0.5 * (U[:, None] @ D.data.reshape(-1, 2, 3, 6))
+    E = np.empty((len(table.obs_view), 3, 6))
+    E[table.rows] = W
+    E[table.left_obs] = half_UD[:, 0]
+    E[table.rows[table.right_row]] += half_UD[:, 1]
+    E = sp.bsr_matrix((E, table.obs_view, table.track_start), shape=(3 * tracks, 6 * n))
+
+    Jc_t, D_t = Jc.T, D.T
+    G6 = (D_t @ E + 0.5 * (Jc_t @ Jc)).toarray()
+    G6 += G6.T
+    Jp_r = np.add.reduceat((PR * res.reshape(-1, 2, 1)).sum(axis=1), track_rows)
+    g6 = Jc_t @ res + D_t @ Jp_r.ravel()
+    return S.T @ G6 @ S, S.T @ g6
 
 
 def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
@@ -296,7 +359,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
         n_views, reference_view, anchor_view, config.refine_rotations, radius
     )
 
-    res, dropped = _residuals(table, Rs, Cs, "drop")
+    res, dropped, terms = _residuals(table, Rs, Cs, "drop")
     cost = float(res @ res)
     if not np.isfinite(cost):
         raise DivergedNumerically(f"initial cost is {cost!r}")
@@ -306,12 +369,10 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     iterations = 0
 
     while iterations < config.max_iter:
-        J = _jacobian(table, Rs, Cs, param)
-        grad = J.T @ res
+        G, grad = _normal_equations(table, Rs, terms, res, param.matrix(Cs))
         if np.max(np.abs(grad), initial=0.0) <= config.gradient_tol:
             termination = "gradient"
             break
-        G = (J.T @ J).toarray()
         diag = np.diag(G).copy()
         diag[diag < 1e-12] = 1e-12
 
@@ -325,7 +386,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
                 lam *= _LM_UP
                 continue
             Rs_try, Cs_try = param.apply(Rs, Cs, delta)
-            res_try, dropped_try = _residuals(table, Rs_try, Cs_try, "drop")
+            res_try, dropped_try, terms_try = _residuals(table, Rs_try, Cs_try, "drop")
             cost_try = float(res_try @ res_try)
             if np.isfinite(cost_try) and cost_try < cost:
                 accepted = True
@@ -336,7 +397,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
             break
 
         Rs, Cs = Rs_try, Cs_try
-        res, dropped, cost = res_try, dropped_try, cost_try
+        res, dropped, terms, cost = res_try, dropped_try, terms_try, cost_try
         history.append(cost)
         lam = max(lam / _LM_DOWN, 1e-15)
         iterations += 1

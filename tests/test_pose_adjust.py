@@ -4,9 +4,12 @@ import pytest
 import poseonly as po
 from poseonly.errors import ConfigInvalid, DegenerateBase, DivergedNumerically
 from poseonly.geometry import rotation_about
+from poseonly.observations import build_table, pose_arrays, select_bases
 from poseonly.pose_adjust import (
     PAConfig,
     PoseParameterization,
+    _normal_equations,
+    _residuals,
     pa_jacobian,
     pa_residuals,
     select_anchor_view,
@@ -44,6 +47,32 @@ def fd_jacobian(param, poses, tracks, bases, h):
         step[k] = h
         J[:, k] = (res_at(step) - res_at(-step)) / (2 * h)
     return J
+
+
+def linear_poses(problem):
+    system = po.assemble_system(problem.tracks, problem.rotations, 0)
+    sol = po.solve_translations(system)
+    return [po.CameraPose(R, c) for R, c in zip(problem.rotations, sol.translations)]
+
+
+def reference_in_middle_scene(refine_rotations):
+    """Reference view 3 of 6, the world rotated so the scale anchor's
+    center lies 10 degrees off the x axis, where anchor_basis switches
+    its helper axis. Returns (problem, bases, poses, param)."""
+    prob = po.generate_scene(
+        po.SceneConfig(n_views=6, n_points=10, seed=31, obs_noise_sigma=1e-3)
+    )
+    reference = 3
+    centers = prob.gt_centers()
+    anchor = select_anchor_view(prob.tracks, prob.n_views, reference, centers)
+    unit = centers[anchor] / np.linalg.norm(centers[anchor])
+    target = np.array([np.cos(np.radians(10)), np.sin(np.radians(10)), 0.0])
+    axis = np.cross(unit, target)
+    Q = rotation_about(axis / np.linalg.norm(axis), np.arccos(unit @ target))
+    poses = similarity_applied(prob.gt_poses, 1.0, Q, np.zeros(3))
+    radius = float(np.linalg.norm(poses[anchor].center))
+    param = PoseParameterization(prob.n_views, reference, anchor, refine_rotations, radius)
+    return prob, bases_for(prob), poses, param
 
 
 def default_param(problem, poses=None):
@@ -149,6 +178,58 @@ class TestJacobian:
                 assert v in allowed
 
 
+def normal_equations_and_oracle(poses, tracks, bases, param):
+    """(G, grad) as pa_optimize forms them, and (J'J, J'r) from the
+    pa_jacobian oracle, at the same poses."""
+    Rs, Cs = pose_arrays(poses)
+    table = build_table(tracks, bases)
+    res, _, terms = _residuals(table, Rs, Cs, "drop")
+    G, grad = _normal_equations(table, Rs, terms, res, param.matrix(Cs))
+    J = pa_jacobian(poses, tracks, bases, param)
+    return G, grad, (J.T @ J).toarray(), J.T @ res
+
+
+class TestNormalEquations:
+    # Every track's anchor-right observation is a row whose observing
+    # view is the anchor right, so each case also covers that merge.
+
+    def assert_matches_oracle(self, poses, tracks, bases, param):
+        G, grad, G_ref, grad_ref = normal_equations_and_oracle(poses, tracks, bases, param)
+        assert np.all(np.isfinite(G)) and np.all(np.isfinite(grad))
+        assert G.shape == G_ref.shape == (param.n_params, param.n_params)
+        assert np.max(np.abs(G - G_ref)) <= 1e-13 * np.max(np.abs(G_ref))
+        assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
+
+    def test_noisy_scene(self):
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=20, n_points=200, seed=41, obs_noise_sigma=1e-3)
+        )
+        poses = linear_poses(prob)
+        self.assert_matches_oracle(poses, prob.tracks, bases_for(prob), default_param(prob, poses))
+
+    @pytest.mark.parametrize("refine_rotations", [True, False])
+    def test_reference_in_middle(self, refine_rotations):
+        prob, bases, poses, param = reference_in_middle_scene(refine_rotations)
+        self.assert_matches_oracle(poses, prob.tracks, bases, param)
+
+    def test_collapsed_track_contributes_nothing(self, scene_s1):
+        # Views 0 and 1 share a rotation, so track 9's anchor rays there
+        # are 1e-160 apart: theta^2 is a subnormal 1e-320, far below the
+        # floor but positive, and the anchored depth is about 1e160.
+        track = po.Track(9, [0, 1, 2], [[0.0, 0.0], [1e-160, 0.0], [0.3, 0.1]])
+        tracks = list(scene_s1.tracks) + [track]
+        bases = {**bases_for(scene_s1), 9: po.BaseViewPair(0, 1, 0.0)}
+        poses = scene_s1.gt_poses
+        _, dropped = pa_residuals(poses, tracks, bases, on_degenerate="drop")
+        assert dropped == [9]
+        param = default_param(scene_s1)
+        self.assert_matches_oracle(poses, tracks, bases, param)
+        G, grad, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
+        G_kept, grad_kept, _, _ = normal_equations_and_oracle(
+            poses, scene_s1.tracks, bases_for(scene_s1), param)
+        assert np.array_equal(G, G_kept) and np.array_equal(grad, grad_kept)
+
+
 class TestParameterization:
     def test_parameter_count_independent_of_points(self):
         for n_points in (5, 40):
@@ -172,31 +253,15 @@ class TestParameterization:
 
     @pytest.mark.parametrize("refine_rotations", [True, False])
     def test_reference_in_middle_and_anchor_near_x_axis(self, refine_rotations):
-        # Reference view 3 of 6; the world is rotated so the scale anchor's
-        # center lies 10 degrees off the x axis, where anchor_basis switches
-        # its helper axis.
-        prob = po.generate_scene(
-            po.SceneConfig(n_views=6, n_points=10, seed=31, obs_noise_sigma=1e-3)
-        )
-        bases = bases_for(prob)
-        reference = 3
-        centers = prob.gt_centers()
-        anchor = select_anchor_view(prob.tracks, prob.n_views, reference, centers)
+        prob, bases, poses, param = reference_in_middle_scene(refine_rotations)
+        reference, anchor = param.reference_view, param.anchor_view
         # No view but the reference has a center to carry the scale.
+        centers = prob.gt_centers()
         only_reference = np.zeros_like(centers)
         only_reference[reference] = centers[reference]
         assert select_anchor_view(prob.tracks, prob.n_views, reference, only_reference) is None
-        unit = centers[anchor] / np.linalg.norm(centers[anchor])
-        target = np.array([np.cos(np.radians(10)), np.sin(np.radians(10)), 0.0])
-        axis = np.cross(unit, target)
-        Q = rotation_about(axis / np.linalg.norm(axis), np.arccos(unit @ target))
-        poses = similarity_applied(prob.gt_poses, 1.0, Q, np.zeros(3))
-        Rs = np.stack([p.rotation for p in poses])
-        Cs = np.stack([p.center for p in poses])
+        Rs, Cs = pose_arrays(poses)
         assert abs(Cs[anchor, 0]) / np.linalg.norm(Cs[anchor]) > 0.9
-        param = PoseParameterization(
-            prob.n_views, reference, anchor, refine_rotations, float(np.linalg.norm(Cs[anchor]))
-        )
         assert param.rot_col[reference] == -1 and param.trans_col[reference] == -1
         col = param.trans_col[anchor]
         S = param.matrix(Cs).toarray()
@@ -245,9 +310,7 @@ class TestOptimize:
         prob = po.generate_scene(
             po.SceneConfig(n_views=7, n_points=25, seed=22, obs_noise_sigma=1e-3)
         )
-        system = po.assemble_system(prob.tracks, prob.rotations, 0)
-        sol = po.solve_translations(system)
-        init = [po.CameraPose(R, c) for R, c in zip(prob.rotations, sol.translations)]
+        init = linear_poses(prob)
         poses, report = po.pa_optimize(init, prob.tracks, reference_view=0)
         history = np.array(report.cost_history)
         assert np.all(np.diff(history) <= 0)
@@ -290,6 +353,36 @@ class TestOptimize:
         centers_b = np.stack([p.center for p in poses_b])
         assert po.align_similarity(centers_b, centers_a).rms < 1e-8
 
+    def test_one_iteration_is_the_hand_lm_step(self):
+        # One damped step from the oracle: H = J'J + lambda0 diag(J'J),
+        # the diagonal floored at 1e-12, delta = -H^-1 J'r, applied
+        # through the parameter map.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=10, n_points=60, seed=29, obs_noise_sigma=1e-3)
+        )
+        init = linear_poses(prob)
+        Rs, Cs = pose_arrays(init)
+        bases, _ = select_bases(prob.tracks, Rs)
+        used = [t for t in prob.tracks if t.track_id in bases]
+        anchor = select_anchor_view(used, prob.n_views, 0, Cs)
+        param = PoseParameterization(prob.n_views, 0, anchor, True,
+                                     float(np.linalg.norm(Cs[anchor])))
+        res, _ = pa_residuals(init, prob.tracks, bases, on_degenerate="drop")
+        J = pa_jacobian(init, prob.tracks, bases, param).toarray()
+        G = J.T @ J
+        diag = np.maximum(np.diag(G), 1e-12)
+        delta = -np.linalg.solve(G + 1e-3 * np.diag(diag), J.T @ res)
+        Rs_hand, Cs_hand = param.apply(Rs, Cs, delta)
+
+        poses, report = po.pa_optimize(
+            init, prob.tracks, PAConfig(max_iter=1, gradient_tol=0.0, step_tol=0.0),
+            reference_view=0,
+        )
+        assert report.iterations == 1
+        Rs_opt, Cs_opt = pose_arrays(poses)
+        assert np.max(np.abs(Rs_opt - Rs_hand)) <= 1e-12
+        assert np.max(np.abs(Cs_opt - Cs_hand)) <= 1e-12
+
     def test_stationarity_of_ground_truth(self):
         prob = po.generate_scene(po.SceneConfig(n_views=6, n_points=15, seed=25))
         bases = bases_for(prob)
@@ -302,9 +395,7 @@ class TestOptimize:
         prob = po.generate_scene(
             po.SceneConfig(n_views=5, n_points=10, seed=26, obs_noise_sigma=1e-3)
         )
-        system = po.assemble_system(prob.tracks, prob.rotations, 0)
-        sol = po.solve_translations(system)
-        init = [po.CameraPose(R, c) for R, c in zip(prob.rotations, sol.translations)]
+        init = linear_poses(prob)
         poses, report = po.pa_optimize(
             init, prob.tracks, PAConfig(refine_rotations=False), reference_view=0
         )
