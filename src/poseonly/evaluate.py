@@ -132,8 +132,10 @@ def evaluate_poses(problem, est_poses, min_track_len: int = 2) -> EvalReport:
     timings = {}
 
     start = time.perf_counter()
-    system = assemble_system(problem.tracks, problem.rotations, problem.reference_view)
-    singular_gap = spectral_gap(system)
+    # The system is freed here, before reconstruction's transient peak.
+    singular_gap = spectral_gap(
+        assemble_system(problem.tracks, problem.rotations, problem.reference_view)
+    )
     timings["assemble_spectrum"] = (time.perf_counter() - start) * 1e3
 
     start = time.perf_counter()

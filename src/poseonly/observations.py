@@ -58,27 +58,27 @@ def _max_theta_pairs(views, xy, rotations):
     """Row-major first (p, q), p < q, of maximal theta^2 per track, for
     tracks of one length K: ``views`` (T, K), ``xy`` (T, K, 2).
 
-    theta^2 of every pair comes from the Gram identity
-    ||g_p x g_q||^2 = |g_p|^2 |g_q|^2 - (g_p . g_q)^2 over the
-    world-frame rays g = R_v' X_v. Tracks go in chunks whose tables hold
-    at most ``_TABLE_ENTRIES`` entries together (one track per chunk when
-    K^2 alone exceeds it).
+    theta^2 of every pair is ||g_p x g_q||^2 = v_p . w_q over the
+    world-frame rays g = R_v' X_v, with
+    v = (g0^2, g1^2, g2^2, r g0 g1, r g0 g2, r g1 g2), r = sqrt(2), and
+    w = (|g|^2 - g0^2, |g|^2 - g1^2, |g|^2 - g2^2, -r g0 g1, -r g0 g2,
+    -r g1 g2), so a track's table is one (K, 6) @ (6, K) product, p >= q
+    masked by -inf. Tracks go in chunks whose tables hold at most
+    ``_TABLE_ENTRIES`` entries together (one track per chunk when K^2
+    alone exceeds it).
     """
     n, k = views.shape
-    lower = np.tri(k, dtype=bool)
+    mask = np.where(np.tri(k, dtype=bool), -np.inf, 0.0)
     best = np.empty(n, dtype=np.intp)
     step = max(1, _TABLE_ENTRIES // (k * k))
     for s in range(0, n, step):
         g = _world_rays(rotations, views[s:s + step].reshape(-1), xy[s:s + step].reshape(-1, 2))
-        g = g.reshape(-1, k, 3)
-        sq = np.einsum("tki,tki->tk", g, g)
-        gram = g @ g.transpose(0, 2, 1)
-        gram *= gram
-        table = sq[:, :, None] * sq[:, None, :]
-        table -= gram
-        np.maximum(table, 0.0, out=table)
-        table[:, lower] = -1.0
-        best[s:s + step] = table.reshape(len(g), -1).argmax(axis=1)
+        sq = g * g
+        mixed = np.sqrt(2.0) * g[:, [0, 0, 1]] * g[:, [1, 2, 2]]
+        v = np.concatenate((sq, mixed), axis=1).reshape(-1, k, 6)
+        w = np.concatenate((sq.sum(axis=1)[:, None] - sq, -mixed), axis=1).reshape(-1, k, 6)
+        table = v @ w.transpose(0, 2, 1) + mask
+        best[s:s + step] = table.reshape(len(v), -1).argmax(axis=1)
     return np.divmod(best, k)
 
 

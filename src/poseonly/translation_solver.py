@@ -19,12 +19,12 @@ zero) is the global translation, up to sign and scale. The formulation
 needs no relative translations, which is what keeps it well-posed under
 collinear motion and under views that only rotate in place.
 
-The null vector and the spectrum come from the 3x3 blocks without ever
-building the tall reduced matrix: while it is small, from the SVD of its
-triangle, factored a chunk of rows at a time (:func:`_dense_triangle`),
-and beyond that from an eigensolve of its Gram matrix (:func:`_block_gram`).
-The reduced shape alone decides (:func:`_spectrum`), and each way floors
-the rank test at its own resolution.
+The system stores the blocks' terms, not the blocks. The null vector and
+the spectrum come from them without building the tall reduced matrix:
+while it is small, from the SVD of its triangle, QR-factored from 2 rows
+per block (:func:`_dense_triangle`), and beyond that from an eigensolve
+of its Gram matrix (:func:`_block_gram`). The reduced shape alone decides
+(:func:`_spectrum`), and each way floors the rank test at its own resolution.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InsufficientParallax, RankDeficient
-from .geometry import skew_batch
+from .geometry import cross_rows, skew_batch
 from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-exported
     BaseViewPair,
     anchored_terms,
@@ -85,9 +85,10 @@ class TranslationSystem:
 
     Block k holds 3 rows touching the anchor-right view (``B[k]``), the
     observing view (``C[k]``) and the anchor-left view (``D = -(B + C)``),
-    in (track_id, row_view) order. When the observing ray is parallel to
-    the anchor-left ray, B vanishes but C does not (C carries the
-    anchor pair's theta^2, not the row's own parallax); the surviving
+    in (track_id, row_view) order; ``B = W a'`` and ``C = theta^2 [x]x``
+    are built from the stored terms on demand. When the observing ray is
+    parallel to the anchor-left ray, B vanishes but C does not (C carries
+    the anchor pair's theta^2, not the row's own parallax); the surviving
     C (t_i - t_left) = 0 content is what pins a camera that only rotates
     in place to its co-located partner. The reference view's columns are
     dropped from the reduced matrix, which fixes the translation gauge.
@@ -98,12 +99,23 @@ class TranslationSystem:
     row_views: np.ndarray  # (m,) observing view of each block
     lefts: np.ndarray  # (m,) anchor-left view of each block
     rights: np.ndarray  # (m,) anchor-right view of each block
-    B: np.ndarray  # (m, 3, 3)
-    C: np.ndarray  # (m, 3, 3)
+    row_track: np.ndarray  # (m,) index of each block's track into the probes
+    x: np.ndarray  # (m, 3) world-frame ray of each block's observation
+    W: np.ndarray  # (m, 3) x x g, g the track's anchor-left ray
     bases: dict  # track_id -> BaseViewPair of every track with rows
     probe_views: np.ndarray  # (k, 2) anchor (left, right) of those tracks
     probe_a: np.ndarray  # (k, 3) their world-frame anchor vectors a
+    theta_sq: np.ndarray  # (k,) their anchor theta^2
     rotations: np.ndarray
+
+    def _blocks(self, rows=slice(None)):
+        """B and C, (k, 3, 3) each, of the blocks ``rows``."""
+        track = self.row_track[rows]
+        B = self.W[rows, :, None] * self.probe_a[track][:, None, :]
+        return B, self.theta_sq[track][:, None, None] * skew_batch(self.x[rows])
+
+    B = property(lambda self: self._blocks()[0], doc="(m, 3, 3) blocks, built per access")
+    C = property(lambda self: self._blocks()[1], doc="(m, 3, 3) blocks, built per access")
 
     @property
     def sign_probes(self):
@@ -173,19 +185,19 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
     table = build_table(tracks, bases)
     terms = anchored_terms(table, rotations)
     row_track = table.row_track
-    B = terms.W[:, :, None] * terms.a[row_track][:, None, :]
-    C = terms.theta_sq[row_track][:, None, None] * skew_batch(terms.x)
     return TranslationSystem(
         n_views=n_views,
         reference_view=reference_view,
         row_views=table.row_view,
         lefts=table.left[row_track],
         rights=table.right[row_track],
-        B=B,
-        C=C,
+        row_track=row_track,
+        x=terms.x,
+        W=terms.W,
         bases={tid: bases[tid] for tid in table.track_ids.tolist()},
         probe_views=np.stack((table.left, table.right), axis=1),
         probe_a=terms.a,
+        theta_sq=terms.theta_sq,
         rotations=rotations,
     )
 
@@ -206,9 +218,9 @@ def _block_gram(system: TranslationSystem) -> np.ndarray:
     """
     n = system.n_views
     half = np.zeros((9, n * n))
-    for lo in range(0, len(system.B), _MATRIX_CHUNK):
-        hi = min(lo + _MATRIX_CHUNK, len(system.B))
-        BC = np.concatenate((system.B[lo:hi], system.C[lo:hi]), axis=2)
+    for lo in range(0, len(system.x), _MATRIX_CHUNK):
+        hi = min(lo + _MATRIX_CHUNK, len(system.x))
+        BC = np.concatenate(system._blocks(slice(lo, hi)), axis=2)
         M = BC.transpose(0, 2, 1) @ BC  # [[P, Q], [Q', S]]
         P, Q, Qt, S = M[:, :3, :3], M[:, :3, 3:], M[:, 3:, :3], M[:, 3:, 3:]
         right, row, left = system.rights[lo:hi], system.row_views[lo:hi], system.lefts[lo:hi]
@@ -231,31 +243,48 @@ def _block_gram(system: TranslationSystem) -> np.ndarray:
     return half + half.T
 
 
+def _ray_basis(x: np.ndarray) -> np.ndarray:
+    """(k, 2, 3) orthonormal basis (e1, e2) of the plane orthogonal to
+    each ray of ``x`` (k, 3), with ``e2 = x/|x| x e1``; e1 is x crossed
+    with the axis along which x is smallest, so it never degenerates."""
+    e1 = cross_rows(x, np.eye(3)[np.abs(x).argmin(axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = cross_rows(x, e1)
+    e2 /= np.linalg.norm(e2, axis=1)[:, None]
+    return np.stack((e1, e2), axis=1)
+
+
 def _dense_triangle(system: TranslationSystem) -> np.ndarray:
     """Triangle T of the reduced constraint matrix R (``T'T = R'R``), by a
-    tall-skinny QR straight from the 3x3 blocks; R is never built.
+    tall-skinny QR straight from the blocks; R is never built.
 
-    A chunk of blocks becomes dense rows: B at the anchor-right view's
-    columns, D = -(B + C) at the anchor-left's, and C added at the
-    observing view's, which may be the anchor right. The reference view's
-    columns sit last and are cut off. Each chunk is QR-factored, and the
-    stacked chunk triangles are factored once more. T shares R's singular
-    values and right-singular vectors.
+    The ray x annihilates both blocks from the left, so their rows along
+    a basis e of x's orthogonal plane keep R'R: ``(e . W) a'`` of B and
+    ``theta^2 (e x x)'`` of C. A chunk of blocks becomes dense rows, 2 per
+    block: B at the anchor-right view's columns, D = -(B + C) at the
+    anchor-left's, and C added at the observing view's, which may be the
+    anchor right. The reference view's columns sit last and are cut off.
+    Each chunk is QR-factored, and the stacked chunk triangles are
+    factored once more. T shares R's singular values and right-singular
+    vectors.
     """
     n = system.n_views
     cols = 3 * (n - 1)
     slot = np.arange(n) - (np.arange(n) > system.reference_view)
     slot[system.reference_view] = n - 1
-    step = -(-max(_QR_CHUNK_MIN_ROWS, _QR_CHUNK_ROWS_PER_COL * cols) // 3)
+    step = -(-max(_QR_CHUNK_MIN_ROWS, _QR_CHUNK_ROWS_PER_COL * cols) // 2)
     triangles = []
-    for lo in range(0, len(system.B), step):
-        B, C = system.B[lo:lo + step], system.C[lo:lo + step]
-        k = np.arange(len(B))
-        rows = np.zeros((len(B), 3, n, 3))  # (block, row, view slot, col)
+    for lo in range(0, len(system.x), step):
+        x, track = system.x[lo:lo + step], system.row_track[lo:lo + step]
+        E = _ray_basis(x)
+        B = (E @ system.W[lo:lo + step, :, None]) * system.probe_a[track][:, None, :]
+        C = system.theta_sq[track][:, None, None] * np.cross(E, x[:, None, :])
+        k = np.arange(len(x))
+        rows = np.zeros((len(x), 2, n, 3))  # (block, row, view slot, col)
         rows[k, :, slot[system.rights[lo:lo + step]]] = B
         rows[k, :, slot[system.lefts[lo:lo + step]]] = -(B + C)
         rows[k, :, slot[system.row_views[lo:lo + step]]] += C
-        triangles.append(np.linalg.qr(rows.reshape(3 * len(B), 3 * n)[:, :cols], mode="r"))
+        triangles.append(np.linalg.qr(rows.reshape(2 * len(x), 3 * n)[:, :cols], mode="r"))
     return np.linalg.qr(np.concatenate(triangles), mode="r")
 
 
@@ -272,7 +301,7 @@ def _spectrum(system: TranslationSystem, k: int):
     eigenvalues only to about ``cols * eps`` of sigma_max^2, so singular
     values below ``sqrt(cols * eps)`` of sigma_max are rounding noise.
     """
-    rows, cols = 3 * len(system.B), 3 * (system.n_views - 1)
+    rows, cols = 3 * len(system.x), 3 * (system.n_views - 1)
     k = min(k, cols)
     if cols <= _DENSE_MAX_COLS and rows * cols <= _DENSE_MAX_ENTRIES:
         _, s, Vt = np.linalg.svd(_dense_triangle(system), full_matrices=False)

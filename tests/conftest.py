@@ -63,6 +63,20 @@ def solve_problem_centers(problem):
     return po.solve_translations(system).translations
 
 
+def gram_identity_pairs(views, xy, rotations):
+    """Reference for ``observations._max_theta_pairs``: the row-major first
+    (p, q), p < q, of maximal theta^2 per track, one track at a time, with
+    theta^2 from |g_p|^2 |g_q|^2 - (g_p . g_q)^2 clamped at 0."""
+    g = np.einsum("tkji,tkj->tki", rotations[views], po.homogenize(xy))
+    p, q = np.empty(len(g), dtype=np.intp), np.empty(len(g), dtype=np.intp)
+    for t, rays in enumerate(g):
+        sq = np.einsum("ki,ki->k", rays, rays)
+        table = np.maximum(np.outer(sq, sq) - (rays @ rays.T) ** 2, 0.0)
+        table[np.tri(len(rays), dtype=bool)] = -1.0
+        p[t], q[t] = np.divmod(table.argmax(), len(rays))
+    return p, q
+
+
 def exact_generic_scene(seed, n_views=8, n_points=30):
     return po.generate_scene(
         po.SceneConfig(n_views=n_views, n_points=n_points, motion="generic_ring", seed=seed)
@@ -74,5 +88,6 @@ __all__ = [
     "random_exact_pair",
     "solve_problem_centers",
     "exact_generic_scene",
+    "gram_identity_pairs",
     "make_rng",
 ]

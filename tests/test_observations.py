@@ -9,7 +9,7 @@ from poseonly.errors import AllPairsDegenerate
 from poseonly.geometry import THETA_FLOOR, rotation_about
 from poseonly.observations import anchored_terms, build_table, select_bases
 
-from conftest import make_rng
+from conftest import gram_identity_pairs, make_rng
 
 
 def noisy_scene(seed, n_views=6, n_points=12):
@@ -159,3 +159,18 @@ class TestBatchedSelection:
             assert (base.left, base.right) == (left, right)
             assert base.theta == pytest.approx(theta, rel=1e-12)
             assert observations.select_base_views(track, rotations) == base
+
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_matches_gram_identity(self, length):
+        # theta^2 tables as one (K, 6) @ (6, K) product pick what the Gram
+        # identity |g_p|^2 |g_q|^2 - (g_p . g_q)^2 picks.
+        rng = make_rng(40 + length)
+        rotations = np.stack(
+            [rotation_about(a / np.linalg.norm(a), rng.uniform(0.0, np.pi))
+             for a in rng.normal(size=(15, 3))]
+        )
+        views = np.stack([np.sort(rng.choice(15, size=length, replace=False)) for _ in range(200)])
+        xy = rng.uniform(-0.5, 0.5, (200, length, 2))
+        picks = observations._max_theta_pairs(views, xy, rotations)
+        expected = gram_identity_pairs(views, xy, rotations)
+        assert np.array_equal(picks, expected)

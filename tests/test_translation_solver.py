@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import poseonly as po
 from poseonly.errors import AllPairsDegenerate, InsufficientParallax, RankDeficient
-from poseonly import translation_solver
-from poseonly.translation_solver import disambiguate_sign
+from poseonly import observations, translation_solver
+from poseonly.evaluate import report_lines
+from poseonly.geometry import skew
+from poseonly.observations import anchored_terms, build_table
+from poseonly.translation_solver import TranslationSystem, disambiguate_sign
 
-from conftest import exact_generic_scene, make_rng, solve_problem_centers
+from conftest import exact_generic_scene, gram_identity_pairs, make_rng, solve_problem_centers
 
 
 class TestBaseViewSelection:
@@ -58,6 +63,26 @@ class TestRowBlocks:
         for k, left in enumerate(system.lefts):
             block = full[3 * k:3 * k + 3, 3 * left:3 * left + 3]
             assert np.array_equal(block, -(system.B[k] + system.C[k]))
+
+    def test_blocks_follow_from_kernel_terms(self):
+        # B = W a' and C = theta^2 [x]x, bit for bit, from the kernel's
+        # per-row ray x and W = x x g and per-track a and theta^2.
+        prob = po.add_observation_noise(exact_generic_scene(70), 1e-3, 70)
+        system = po.assemble_system(prob.tracks, prob.rotations, 0)
+        table = build_table(prob.tracks, system.bases)
+        terms = anchored_terms(table, prob.rotations)
+        B, C = system.B, system.C
+        assert len(B) == len(C) == len(table.rows)
+        for k, track in enumerate(table.row_track.tolist()):
+            assert np.array_equal(B[k], np.outer(terms.W[k], terms.a[track]))
+            assert np.array_equal(C[k], terms.theta_sq[track] * skew(terms.x[k]))
+
+    def test_system_stores_no_blocks(self):
+        prob = exact_generic_scene(70)
+        system = po.assemble_system(prob.tracks, prob.rotations, 0)
+        blocks = (len(system.row_views), 3, 3)
+        for field in dataclasses.fields(system):
+            assert np.shape(getattr(system, field.name)) != blocks, field.name
 
     def test_blocks_annihilate_ground_truth(self):
         for seed in range(5):
@@ -204,6 +229,27 @@ class TestBlockGram:
         monkeypatch.setattr(translation_solver, "_MATRIX_CHUNK", 11)
         assert_block_gram_matches(system)
 
+    def test_eval_report_unchanged_from_stored_blocks(self, monkeypatch):
+        # On the Gram path, which large systems take, evaluate_poses gives
+        # the very report it gave when the system stored its 3x3 blocks and
+        # the anchors came from the Gram identity: every chunk of B and C
+        # is then a slice of the full arrays.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=12, n_points=60, seed=71, obs_noise_sigma=1e-3)
+        )
+        monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", 0)
+        monkeypatch.setattr(translation_solver, "_MATRIX_CHUNK", 100)
+        centers = solve_problem_centers(prob)
+        poses = [po.CameraPose(R, c) for R, c in zip(prob.rotations, centers)]
+        compact = report_lines(po.evaluate_poses(prob, poses))
+        blocks = TranslationSystem._blocks
+        monkeypatch.setattr(
+            TranslationSystem, "_blocks",
+            lambda self, rows=slice(None): tuple(full[rows] for full in blocks(self)),
+        )
+        monkeypatch.setattr(observations, "_max_theta_pairs", gram_identity_pairs)
+        assert report_lines(po.evaluate_poses(prob, poses)) == compact
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_normal_spectrum_matches_dense(self, case, monkeypatch):
         # The Gram path resolves singular values only down to about 1e-8
@@ -218,9 +264,19 @@ class TestBlockGram:
         assert np.allclose(normal, dense, rtol=1e-8, atol=1e-7 * sigma_max)
 
 
+def assert_triangle_gram_matches(system):
+    """The 2-row-per-block triangle T has T'T = R'R, R the reduced CSR
+    matrix."""
+    R = system.reduced_matrix()
+    expected = (R.T @ R).toarray()
+    T = translation_solver._dense_triangle(system)
+    assert np.abs(T.T @ T - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def assert_dense_triangle_matches(system):
-    """The chunked triangle has the singular values of the reduced CSR
-    matrix, and the dense path returns its null vector."""
+    """The chunked triangle has the Gram matrix and the singular values of
+    the reduced CSR matrix, and the dense path returns its null vector."""
+    assert_triangle_gram_matches(system)
     _, s, Vt = np.linalg.svd(system.reduced_matrix().toarray(), full_matrices=False)
     t = np.linalg.svd(translation_solver._dense_triangle(system), compute_uv=False)
     assert np.abs(t - s).max() <= 1e-13 * s[0]
@@ -237,7 +293,7 @@ class TestDenseTriangle:
         prob, reference = TestBlockGram.CASES[case]()
         system = po.assemble_system(prob.tracks, prob.rotations, reference)
         monkeypatch.setattr(translation_solver, "_QR_CHUNK_ROWS_PER_COL", 0)
-        monkeypatch.setattr(translation_solver, "_QR_CHUNK_MIN_ROWS", 33)
+        monkeypatch.setattr(translation_solver, "_QR_CHUNK_MIN_ROWS", 22)
         assert_dense_triangle_matches(system)
 
     def test_cases_cover_repeated_and_reference_columns(self):
@@ -253,17 +309,25 @@ class TestDenseTriangle:
     def test_system_within_one_chunk(self):
         prob, reference = TestBlockGram.CASES["collinear"]()
         system = po.assemble_system(prob.tracks, prob.rotations, reference)
-        assert 3 * len(system.B) < translation_solver._QR_CHUNK_MIN_ROWS
+        assert 2 * len(system.B) < translation_solver._QR_CHUNK_MIN_ROWS
         assert_dense_triangle_matches(system)
 
     def test_last_chunk_shorter_than_columns(self, monkeypatch):
-        # All blocks but one fill the first chunk; the last chunk's 3 rows
+        # All blocks but one fill the first chunk; the last chunk's 2 rows
         # give a triangle of fewer rows than columns.
         prob = exact_generic_scene(66)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
         monkeypatch.setattr(translation_solver, "_QR_CHUNK_ROWS_PER_COL", 0)
-        monkeypatch.setattr(translation_solver, "_QR_CHUNK_MIN_ROWS", 3 * (len(system.B) - 1))
+        monkeypatch.setattr(translation_solver, "_QR_CHUNK_MIN_ROWS", 2 * (len(system.B) - 1))
         assert_dense_triangle_matches(system)
+
+    def test_gluing_row_keeps_its_rows(self):
+        # A row with W = 0 still projects its C onto two rows; the basis
+        # depends on the ray alone.
+        tracks, rotations = gluing_scene()
+        system = po.assemble_system(tracks, rotations, 0)
+        assert np.any(np.all(system.W == 0, axis=1))
+        assert_triangle_gram_matches(system)
 
     def test_dense_path_builds_no_matrix(self, monkeypatch):
         prob = exact_generic_scene(67)
