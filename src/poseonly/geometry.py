@@ -75,11 +75,12 @@ def homogenize(points: np.ndarray) -> np.ndarray:
 
 
 def cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two (N, 3) arrays."""
-    out = np.empty_like(A)
-    out[:, 0] = A[:, 1] * B[:, 2] - A[:, 2] * B[:, 1]
-    out[:, 1] = A[:, 2] * B[:, 0] - A[:, 0] * B[:, 2]
-    out[:, 2] = A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
+    """Cross product over the last axis of two (..., 3) arrays, whose
+    leading axes broadcast; the same bits as ``np.cross``."""
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), dtype=np.result_type(A, B))
+    out[..., 0] = A[..., 1] * B[..., 2] - A[..., 2] * B[..., 1]
+    out[..., 1] = A[..., 2] * B[..., 0] - A[..., 0] * B[..., 2]
+    out[..., 2] = A[..., 0] * B[..., 1] - A[..., 1] * B[..., 0]
     return out
 
 

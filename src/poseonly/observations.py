@@ -207,6 +207,39 @@ def build_table(tracks, bases: dict) -> ObservationTable:
     )
 
 
+def split_table(table: ObservationTable, max_rows: int) -> list:
+    """The table cut into consecutive runs of whole tracks of at most
+    ``max_rows`` rows each; a longer track is a run of its own. Returns
+    one (tracks, rows, part) per run: the run's slices of the table's
+    tracks and rows, and the run as a table of its own, whose index
+    arrays are re-based to it and whose other arrays are views."""
+    row_start, track_start = table.row_start, table.track_start
+    cuts = [0]
+    while cuts[-1] < len(table.left):
+        t = cuts[-1]
+        end = int(np.searchsorted(row_start, row_start[t] + max_rows, side="right")) - 1
+        cuts.append(max(end, t + 1))
+    runs = []
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        (o0, o1), (r0, r1) = track_start[[t0, t1]].tolist(), row_start[[t0, t1]].tolist()
+        part = ObservationTable(
+            track_ids=table.track_ids[t0:t1],
+            track_start=track_start[t0:t1 + 1] - o0,
+            obs_track=table.obs_track[o0:o1] - t0,
+            obs_view=table.obs_view[o0:o1],
+            obs_xy=table.obs_xy[o0:o1],
+            left=table.left[t0:t1],
+            right=table.right[t0:t1],
+            theta=table.theta[t0:t1],
+            left_obs=table.left_obs[t0:t1] - o0,
+            rows=table.rows[r0:r1] - o0,
+            row_start=row_start[t0:t1 + 1] - r0,
+            right_row=table.right_row[t0:t1] - r0,
+        )
+        runs.append((slice(t0, t1), slice(r0, r1), part))
+    return runs
+
+
 @dataclass(frozen=True)
 class AnchorTerms:
     """Per-row (M) and per-track (T) output of :func:`anchored_terms`,
@@ -230,6 +263,12 @@ class AnchorTerms:
         it is at or below THETA_FLOOR."""
         theta = np.linalg.norm(self.W, axis=1)
         return np.where(theta > THETA_FLOOR, theta, 0.0)
+
+    def part(self, tracks: slice, rows: slice) -> "AnchorTerms":
+        """Views of the terms, evaluated with centers, of one run of
+        :func:`split_table`."""
+        return AnchorTerms(self.x[rows], self.W[rows], self.g[tracks], self.a[tracks],
+                           self.theta_sq[tracks], self.T[rows], self.depth[tracks])
 
 
 def _dot_rows(A, B) -> np.ndarray:

@@ -16,8 +16,12 @@ history is non-increasing by construction.
 
 The optimizer builds its normal equations from the block-sparse
 factors of the Jacobian, J6 = Jc + Jp D (:func:`_factors`), and never
-forms J; :func:`pa_jacobian` assembles J from the same factors as the
-oracle the tests check against.
+forms J. It sums them over runs of whole tracks of at most
+``_CHUNK_ROWS`` observation-table rows, so the block-sparse factors
+never hold more than one run; only the dense 6n x 6n matrix they add
+into grows, with the views. :func:`pa_jacobian` assembles J from the
+same factors over the whole table as the oracle the tests check
+against.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.spatial.transform import Rotation
 
-from .errors import ConfigInvalid, DegenerateBase, DivergedNumerically
+from .errors import ConfigInvalid, DegenerateBase, DivergedNumerically, InsufficientParallax
 from .geometry import CameraPose, cross_rows, skew_batch
 from .observations import (
     anchored_terms,
@@ -35,6 +39,7 @@ from .observations import (
     flatten_tracks,
     pose_arrays,
     select_bases,
+    split_table,
 )
 
 # Levenberg-Marquardt damping: the initial lambda, and the factors it is
@@ -42,6 +47,11 @@ from .observations import (
 _LM_LAMBDA0 = 1e-3
 _LM_UP = 10.0
 _LM_DOWN = 10.0
+
+# The normal equations are summed over runs of whole tracks of at most
+# this many table rows (a longer track is a run of its own), so their
+# per-row working set stays bounded at any observation count.
+_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -255,7 +265,7 @@ def _factors(table, Rs, terms):
         # P_pi @ v = (v[:2] - proj * v[2]) / z
         PR = (R[:, :2] - proj[:, :, None] * R[:, 2:3]) / z[:, :, None]
     PRN = np.empty((len(row_track), 2, 6))
-    PRN[:, :, :3] = -np.cross(PR, Q[:, None, :])
+    PRN[:, :, :3] = -cross_rows(PR, Q[:, None, :])
     PRN[:, :, 3:] = -PR
     dead = ~valid[row_track]
     PR[dead] = 0.0
@@ -296,27 +306,22 @@ def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) ->
     return _jacobian(table, Rs, Cs, parameterization)
 
 
-def _normal_equations(table, Rs, terms, res, S):
-    """G = J'J and grad = J'r of the pose-only cost at the poses ``terms``
-    and ``res`` were evaluated at, over the parameters of the map ``S``,
-    without forming J.
+def _run_products(table, Rs, terms, res):
+    """X = D'(W + UD/2) + Jc'Jc/2, a BSR matrix of 6x6 blocks, and
+    J6'r over the 6n view columns, for one table and its ``terms`` and
+    residuals ``res``; J6'J6 = X + X'.
 
     With the factors of :func:`_factors`, J6 = Jc + Jp D gives
-        J6'J6 = Jc'Jc + W'D + D'W + D'UD = X + X',
-        X = D'(W + UD/2) + Jc'Jc/2,   J6'r = Jc'r + D'(Jp'r),
+        J6'J6 = Jc'Jc + W'D + D'W + D'UD,   J6'r = Jc'r + D'(Jp'r),
     where W = Jp'Jc holds one 3x6 block per row (at its track and
     observing view) and U = Jp'Jp one 3x3 block per track. W + UD/2 has
     one block per observation: a track's rows fill every slot but the
     anchor-left one, which UD's left block takes, and UD's right block
-    adds to the anchor-right row's. Every block sits where the
-    observation table puts it, so the layout is fixed for a whole
-    :func:`pa_optimize` call. No array grows with views times tracks:
-    the block-sparse ones grow with the observation count, and the dense
-    G6 = X + X' (6n x 6n) gives G = S'G6S and grad = S'g6.
+    adds to the anchor-right row's. Every block sits where the table
+    puts it.
     """
     Jc, Jp, D = _factors(table, Rs, terms)
-    PR, tracks, n = Jp.data, len(table.left), len(Rs)
-    track_rows = table.row_start[:-1]
+    PR, track_rows, n = Jp.data, table.row_start[:-1], len(Rs)
     W = PR.transpose(0, 2, 1) @ Jc.data
     # The center half of PR N is -PR, so W's is -PR'PR: U needs no product.
     U = -np.add.reduceat(W[:, :, 3:], track_rows)
@@ -325,13 +330,36 @@ def _normal_equations(table, Rs, terms, res, S):
     E[table.rows] = W
     E[table.left_obs] = half_UD[:, 0]
     E[table.rows[table.right_row]] += half_UD[:, 1]
-    E = sp.bsr_matrix((E, table.obs_view, table.track_start), shape=(3 * tracks, 6 * n))
+    E = sp.bsr_matrix((E, table.obs_view, table.track_start), shape=(3 * len(U), 6 * n))
 
     Jc_t, D_t = Jc.T, D.T
-    G6 = (D_t @ E + 0.5 * (Jc_t @ Jc)).toarray()
-    G6 += G6.T
     Jp_r = np.add.reduceat((PR * res.reshape(-1, 2, 1)).sum(axis=1), track_rows)
-    g6 = Jc_t @ res + D_t @ Jp_r.ravel()
+    return D_t @ E + 0.5 * (Jc_t @ Jc), Jc_t @ res + D_t @ Jp_r.ravel()
+
+
+def _normal_equations(runs, Rs, terms, res, S):
+    """G = J'J and grad = J'r of the pose-only cost at the poses ``terms``
+    and ``res`` were evaluated at, over the parameters of the map ``S``,
+    without forming J.
+
+    The ``runs`` of whole tracks (:func:`~poseonly.observations.split_table`)
+    go through :func:`_run_products` one at a time. No track spans two
+    runs, so their X and J6'r add up to the whole table's, and the
+    block-sparse arrays hold one run of at most ``_CHUNK_ROWS`` rows
+    (more only for a single longer track). Only the dense
+    G6 = X + X' (6n x 6n), which gives G = S'G6S and grad = S'g6, grows,
+    with the views.
+    """
+    n = len(Rs)
+    G6, g6 = np.zeros((6 * n, 6 * n)), np.zeros(6 * n)
+    G6_blocks = G6.reshape(n, 6, n, 6).swapaxes(1, 2)  # [u, v] is the 6x6 block (u, v)
+    for tracks, rows, table in runs:
+        X, Jr = _run_products(table, Rs, terms.part(tracks, rows),
+                              res[2 * rows.start:2 * rows.stop])
+        X.sum_duplicates()  # the += below needs each block once
+        G6_blocks[np.repeat(np.arange(n), np.diff(X.indptr)), X.indices] += X.data
+        g6 += Jr
+    G6 += G6.T
     return S.T @ G6 @ S, S.T @ g6
 
 
@@ -343,14 +371,21 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     the whole optimization (re-selecting each iteration would make the
     cost discontinuous). Returns (poses, OptimizeReport); the cost
     history is non-increasing, and a non-finite cost at an accepted
-    state raises DivergedNumerically instead of being clamped.
+    state raises DivergedNumerically instead of being clamped. With no
+    track whose anchor pair has parallax there is no cost to lower, and
+    InsufficientParallax is raised.
     """
     config = config or PAConfig()
     Rs, Cs = pose_arrays(initial_poses)
     n_views = len(initial_poses)
 
     bases, degenerate = select_bases(tracks, Rs)
+    if not bases:
+        raise InsufficientParallax(
+            f"none of {len(tracks)} track(s) carries parallax; nothing to refine"
+        )
     table = build_table(tracks, bases)
+    runs = split_table(table, _CHUNK_ROWS)
 
     used = [t for t in tracks if t.track_id in bases]
     anchor_view = select_anchor_view(used, n_views, reference_view, Cs)
@@ -369,7 +404,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     iterations = 0
 
     while iterations < config.max_iter:
-        G, grad = _normal_equations(table, Rs, terms, res, param.matrix(Cs))
+        G, grad = _normal_equations(runs, Rs, terms, res, param.matrix(Cs))
         if np.max(np.abs(grad), initial=0.0) <= config.gradient_tol:
             termination = "gradient"
             break

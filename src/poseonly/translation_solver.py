@@ -278,7 +278,7 @@ def _dense_triangle(system: TranslationSystem) -> np.ndarray:
         x, track = system.x[lo:lo + step], system.row_track[lo:lo + step]
         E = _ray_basis(x)
         B = (E @ system.W[lo:lo + step, :, None]) * system.probe_a[track][:, None, :]
-        C = system.theta_sq[track][:, None, None] * np.cross(E, x[:, None, :])
+        C = system.theta_sq[track][:, None, None] * cross_rows(E, x[:, None, :])
         k = np.arange(len(x))
         rows = np.zeros((len(x), 2, n, 3))  # (block, row, view slot, col)
         rows[k, :, slot[system.rights[lo:lo + step]]] = B

@@ -195,6 +195,23 @@ class TestErrorPaths:
         assert code == 2
         assert "InsufficientParallax" in err
 
+    @pytest.mark.parametrize("case", ["no tracks", "no parallax"])
+    def test_pa_without_parallax_exit_2(self, tmp_path, capsys, case):
+        # Three co-located views with one rotation see each point along the
+        # same ray: pa has nothing to refine and must not report success.
+        poses = [po.CameraPose(np.eye(3), np.zeros(3)) for _ in range(3)]
+        tracks = [] if case == "no tracks" else [
+            po.Track(k, [0, 1, 2], [[0.1 * k, -0.05 * k]] * 3) for k in range(4)
+        ]
+        problem = po.SceneProblem(rotations=np.stack([np.eye(3)] * 3), tracks=tracks)
+        path, init = tmp_path / "flat.po", tmp_path / "flat.poses"
+        po.write_problem(path, problem)
+        po.write_poses(init, poses)
+        code, _, err = run(["pa", str(path), "--init", str(init)], capsys)
+        assert code == 2
+        assert "InsufficientParallax" in err
+        assert not (tmp_path / "flat.pa.poses").exists()
+
     def test_nan_quaternion_exit_1(self, tmp_path, s1_file, capsys):
         lines = Path(s1_file).read_text().splitlines()
         k = next(i for i, line in enumerate(lines) if line.startswith("V 1 "))

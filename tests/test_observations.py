@@ -7,7 +7,7 @@ import poseonly as po
 from poseonly import observations
 from poseonly.errors import AllPairsDegenerate
 from poseonly.geometry import THETA_FLOOR, rotation_about
-from poseonly.observations import anchored_terms, build_table, select_bases
+from poseonly.observations import anchored_terms, build_table, select_bases, split_table
 
 from conftest import gram_identity_pairs, make_rng
 
@@ -50,6 +50,63 @@ class TestTable:
         track = po.Track(0, [0, 1], [[0.1, 0.2], [0.2, 0.1]])
         with pytest.raises(KeyError):
             build_table([track], {0: po.BaseViewPair(0, 2, 0.1)})
+
+    @pytest.mark.parametrize("max_rows", [1, 6, 23, 1 << 40])
+    def test_split_rebuilds_the_table(self, max_rows):
+        # Tracks of 2 to 8 views, so runs cut after differing track counts
+        # and at 6 rows some tracks are longer than a run.
+        prob = noisy_scene(4, n_views=8, n_points=40)
+        rng = make_rng(4)
+        tracks = []
+        for track in prob.tracks:
+            keep = np.sort(rng.choice(len(track), size=rng.integers(2, len(track) + 1),
+                                      replace=False))
+            tracks.append(po.Track(track.track_id, track.view_ids[keep], track.points[keep]))
+        bases, _ = select_bases(tracks, prob.rotations)
+        table = build_table(tracks, bases)
+        terms = anchored_terms(table, prob.rotations, prob.gt_centers())
+        runs = split_table(table, max_rows)
+
+        # Consecutive runs of whole tracks cover every track and row once.
+        track_cuts = [0] + [tracks_.stop for tracks_, _, _ in runs]
+        assert [tracks_.start for tracks_, _, _ in runs] == track_cuts[:-1]
+        assert track_cuts[-1] == len(table.left)
+        for tracks_, rows, part in runs:
+            assert (rows.start, rows.stop) == (table.row_start[tracks_.start],
+                                               table.row_start[tracks_.stop])
+            assert rows.stop - rows.start <= max_rows or len(part.left) == 1
+
+        # The re-based index arrays rebuild the table's.
+        shift = {"none": [0] * len(runs),
+                 "track": [tracks_.start for tracks_, _, _ in runs],
+                 "row": [rows.start for _, rows, _ in runs],
+                 "obs": [table.track_start[tracks_.start] for tracks_, _, _ in runs]}
+
+        def joined(field, offset):
+            return np.concatenate([getattr(part, field) + s
+                                   for (_, _, part), s in zip(runs, shift[offset])])
+
+        for field, offset in (("track_ids", "none"), ("obs_view", "none"), ("obs_xy", "none"),
+                              ("left", "none"), ("right", "none"), ("theta", "none"),
+                              ("obs_track", "track"), ("left_obs", "obs"), ("rows", "obs"),
+                              ("right_row", "row")):
+            assert np.array_equal(joined(field, offset), getattr(table, field))
+        for field, offset in (("track_start", "obs"), ("row_start", "row")):
+            for (tracks_, _, part), s in zip(runs, shift[offset]):
+                assert np.array_equal(getattr(part, field) + s,
+                                      getattr(table, field)[tracks_.start:tracks_.stop + 1])
+
+        # A run's table is a table of its own: the kernel on it gives the
+        # run's part of the whole table's terms, which views them.
+        for tracks_, rows, part in runs:
+            own = anchored_terms(part, prob.rotations, prob.gt_centers())
+            sliced = terms.part(tracks_, rows)
+            for name in ("x", "W", "g", "a", "theta_sq", "T", "depth"):
+                assert np.array_equal(getattr(own, name), getattr(sliced, name))
+                assert np.shares_memory(getattr(sliced, name), getattr(terms, name))
+
+    def test_split_of_an_empty_table_has_no_runs(self):
+        assert split_table(build_table([], {}), 10) == []
 
 
 class TestKernelAgainstPairOracle:

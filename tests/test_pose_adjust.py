@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import poseonly as po
-from poseonly.errors import ConfigInvalid, DegenerateBase, DivergedNumerically
+from poseonly import pose_adjust
+from poseonly.errors import (
+    ConfigInvalid,
+    DegenerateBase,
+    DivergedNumerically,
+    InsufficientParallax,
+)
 from poseonly.geometry import rotation_about
-from poseonly.observations import build_table, pose_arrays, select_bases
+from poseonly.observations import build_table, pose_arrays, select_bases, split_table
 from poseonly.pose_adjust import (
     PAConfig,
     PoseParameterization,
@@ -184,7 +192,8 @@ def normal_equations_and_oracle(poses, tracks, bases, param):
     Rs, Cs = pose_arrays(poses)
     table = build_table(tracks, bases)
     res, _, terms = _residuals(table, Rs, Cs, "drop")
-    G, grad = _normal_equations(table, Rs, terms, res, param.matrix(Cs))
+    runs = split_table(table, pose_adjust._CHUNK_ROWS)
+    G, grad = _normal_equations(runs, Rs, terms, res, param.matrix(Cs))
     J = pa_jacobian(poses, tracks, bases, param)
     return G, grad, (J.T @ J).toarray(), J.T @ res
 
@@ -200,19 +209,45 @@ class TestNormalEquations:
         assert np.max(np.abs(G - G_ref)) <= 1e-13 * np.max(np.abs(G_ref))
         assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
 
-    def test_noisy_scene(self):
+    def assert_independent_of_runs(self, monkeypatch, poses, tracks, bases, param, several):
+        """Runs of ``several`` rows hold more than one track each and leave
+        a shorter last run; runs of 1 row leave every track alone. Both
+        match the oracle and the one-run build."""
+        table = build_table(tracks, bases)
+        monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", 1 << 40)
+        assert len(split_table(table, pose_adjust._CHUNK_ROWS)) == 1
+        G_one, grad_one, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
+        for max_rows in (several, 1):
+            per_run = [t.stop - t.start for t, _, _ in split_table(table, max_rows)]
+            if max_rows == 1:
+                assert per_run == [1] * len(table.left)
+            else:
+                assert min(per_run[:-1]) > 1 and per_run[-1] < max(per_run)
+            monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", max_rows)
+            self.assert_matches_oracle(poses, tracks, bases, param)
+            G, grad, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
+            assert np.max(np.abs(G - G_one)) <= 1e-13 * np.max(np.abs(G_one))
+            assert np.max(np.abs(grad - grad_one)) <= 1e-13 * np.max(np.abs(grad_one))
+
+    def test_noisy_scene(self, monkeypatch):
         prob = po.generate_scene(
             po.SceneConfig(n_views=20, n_points=200, seed=41, obs_noise_sigma=1e-3)
         )
         poses = linear_poses(prob)
-        self.assert_matches_oracle(poses, prob.tracks, bases_for(prob), default_param(prob, poses))
+        args = poses, prob.tracks, bases_for(prob), default_param(prob, poses)
+        self.assert_matches_oracle(*args)
+        # 200 tracks of 19 rows: 3 a run, 2 in the last.
+        self.assert_independent_of_runs(monkeypatch, *args, several=57)
 
     @pytest.mark.parametrize("refine_rotations", [True, False])
-    def test_reference_in_middle(self, refine_rotations):
+    def test_reference_in_middle(self, refine_rotations, monkeypatch):
         prob, bases, poses, param = reference_in_middle_scene(refine_rotations)
         self.assert_matches_oracle(poses, prob.tracks, bases, param)
+        # 10 tracks of 5 rows: 3 a run, 1 in the last.
+        self.assert_independent_of_runs(monkeypatch, poses, prob.tracks, bases, param,
+                                        several=15)
 
-    def test_collapsed_track_contributes_nothing(self, scene_s1):
+    def test_collapsed_track_contributes_nothing(self, scene_s1, monkeypatch):
         # Views 0 and 1 share a rotation, so track 9's anchor rays there
         # are 1e-160 apart: theta^2 is a subnormal 1e-320, far below the
         # floor but positive, and the anchored depth is about 1e160.
@@ -228,6 +263,29 @@ class TestNormalEquations:
         G_kept, grad_kept, _, _ = normal_equations_and_oracle(
             poses, scene_s1.tracks, bases_for(scene_s1), param)
         assert np.array_equal(G, G_kept) and np.array_equal(grad, grad_kept)
+        # 3 tracks of 2 rows: 2 in the first run, track 9 alone in the last.
+        self.assert_independent_of_runs(monkeypatch, poses, tracks, bases, param, several=4)
+
+    def test_peak_memory_independent_of_observation_count(self):
+        # 19,000 and 76,000 rows: the build's working set is one run's,
+        # so four times the observations may not cost 1.5 times the memory.
+        peaks = []
+        for n_points in (1000, 4000):
+            prob = po.generate_scene(
+                po.SceneConfig(n_views=20, n_points=n_points, seed=43, obs_noise_sigma=1e-3)
+            )
+            Rs, Cs = pose_arrays(prob.gt_poses)
+            table = build_table(prob.tracks, bases_for(prob))
+            runs = split_table(table, pose_adjust._CHUNK_ROWS)
+            res, _, terms = _residuals(table, Rs, Cs, "drop")
+            S = default_param(prob).matrix(Cs)
+            tracemalloc.start()
+            try:
+                _normal_equations(runs, Rs, terms, res, S)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestParameterization:
@@ -420,6 +478,33 @@ class TestOptimize:
         )
         with pytest.raises(ValueError, match="reference view"):
             po.pa_optimize(prob.gt_poses, prob.tracks, reference_view=reference_view)
+
+    @pytest.mark.parametrize("case", ["no tracks", "no parallax"])
+    def test_no_track_with_parallax_raises(self, case):
+        # Three co-located views with one rotation see each point along
+        # the same ray: no anchor pair exists, so there is no cost to lower.
+        poses = [po.CameraPose(np.eye(3), np.zeros(3)) for _ in range(3)]
+        tracks = [] if case == "no tracks" else [
+            po.Track(k, [0, 1, 2], [[0.1 * k, -0.05 * k]] * 3) for k in range(4)
+        ]
+        with pytest.raises(InsufficientParallax):
+            po.pa_optimize(poses, tracks, reference_view=0)
+
+    def test_result_independent_of_runs(self, monkeypatch):
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=7, n_points=25, seed=22, obs_noise_sigma=1e-3)
+        )
+        init = linear_poses(prob)
+        config = PAConfig(max_iter=3, gradient_tol=0.0, step_tol=0.0)
+        results = []
+        for max_rows in (1 << 40, 1):
+            monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", max_rows)
+            poses, report = po.pa_optimize(init, prob.tracks, config, reference_view=0)
+            results.append((pose_arrays(poses), report.iterations))
+        ((Rs_a, Cs_a), iterations_a), ((Rs_b, Cs_b), iterations_b) = results
+        assert iterations_a == iterations_b == 3
+        assert np.max(np.abs(Rs_a - Rs_b)) <= 1e-12
+        assert np.max(np.abs(Cs_a - Cs_b)) <= 1e-12
 
     def test_nonfinite_input_raises(self):
         prob = po.generate_scene(po.SceneConfig(n_views=5, n_points=8, seed=27))
