@@ -16,6 +16,11 @@ anchor vector ``a = x_r (x_r.g) - g |x_r|^2`` (x_r: the anchor-right
 ray), ``theta^2 = |x_r x g|^2`` and the anchored depth
 ``a . T_right / theta^2``.
 
+Pose-only refinement runs its residual pass (this kernel, then the
+projection) and its normal-equation build over the runs of
+:func:`split_table`, so their temporaries stay one run's; its Jacobian
+oracle takes the whole table as one run.
+
 This module alone holds the anchor policy: a track's anchor pair is its
 observation pair of maximal theta, chosen for all tracks in one batched
 pass (:func:`select_bases`), and theta at or below ``THETA_FLOOR`` is
@@ -209,10 +214,10 @@ def build_table(tracks, bases: dict) -> ObservationTable:
 
 def split_table(table: ObservationTable, max_rows: int) -> list:
     """The table cut into consecutive runs of whole tracks of at most
-    ``max_rows`` rows each; a longer track is a run of its own. Returns
-    one (tracks, rows, part) per run: the run's slices of the table's
-    tracks and rows, and the run as a table of its own, whose index
-    arrays are re-based to it and whose other arrays are views."""
+    ``max_rows`` rows each; a longer track is a run of its own. Each run
+    is a table of its own, whose index arrays are re-based to it and
+    whose other arrays are views; a run's tracks and rows follow the
+    previous runs', ``len(run.left)`` and ``len(run.rows)`` of them."""
     row_start, track_start = table.row_start, table.track_start
     cuts = [0]
     while cuts[-1] < len(table.left):
@@ -222,7 +227,7 @@ def split_table(table: ObservationTable, max_rows: int) -> list:
     runs = []
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
         (o0, o1), (r0, r1) = track_start[[t0, t1]].tolist(), row_start[[t0, t1]].tolist()
-        part = ObservationTable(
+        runs.append(ObservationTable(
             track_ids=table.track_ids[t0:t1],
             track_start=track_start[t0:t1 + 1] - o0,
             obs_track=table.obs_track[o0:o1] - t0,
@@ -235,8 +240,7 @@ def split_table(table: ObservationTable, max_rows: int) -> list:
             rows=table.rows[r0:r1] - o0,
             row_start=row_start[t0:t1 + 1] - r0,
             right_row=table.right_row[t0:t1] - r0,
-        )
-        runs.append((slice(t0, t1), slice(r0, r1), part))
+        ))
     return runs
 
 
@@ -263,12 +267,6 @@ class AnchorTerms:
         it is at or below THETA_FLOOR."""
         theta = np.linalg.norm(self.W, axis=1)
         return np.where(theta > THETA_FLOOR, theta, 0.0)
-
-    def part(self, tracks: slice, rows: slice) -> "AnchorTerms":
-        """Views of the terms, evaluated with centers, of one run of
-        :func:`split_table`."""
-        return AnchorTerms(self.x[rows], self.W[rows], self.g[tracks], self.a[tracks],
-                           self.theta_sq[tracks], self.T[rows], self.depth[tracks])
 
 
 def _dot_rows(A, B) -> np.ndarray:

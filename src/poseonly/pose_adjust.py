@@ -14,14 +14,14 @@ Marquardt) normal equations with Marquardt diagonal scaling drive the
 iteration; steps that do not lower the cost are rejected, so the cost
 history is non-increasing by construction.
 
-The optimizer builds its normal equations from the block-sparse
-factors of the Jacobian, J6 = Jc + Jp D (:func:`_factors`), and never
-forms J. It sums them over runs of whole tracks of at most
-``_CHUNK_ROWS`` observation-table rows, so the block-sparse factors
-never hold more than one run; only the dense 6n x 6n matrix they add
-into grows, with the views. :func:`pa_jacobian` assembles J from the
-same factors over the whole table as the oracle the tests check
-against.
+The optimizer cuts the table once into runs of whole tracks, and its
+residual pass (:func:`_residuals`) and normal-equation build
+(:func:`_normal_equations`) go one run at a time. Between iterations
+it holds the accepted state's residuals and each run's kernel terms,
+from which the build forms the Jacobian's block-sparse factors
+J6 = Jc + Jp D (:func:`_factors`), never J; only the dense 6n x 6n
+matrix they add into grows, with the views. :func:`pa_residuals` and
+the oracle :func:`pa_jacobian` take the whole table as one run.
 """
 
 from dataclasses import dataclass
@@ -48,9 +48,9 @@ _LM_LAMBDA0 = 1e-3
 _LM_UP = 10.0
 _LM_DOWN = 10.0
 
-# The normal equations are summed over runs of whole tracks of at most
-# this many table rows (a longer track is a run of its own), so their
-# per-row working set stays bounded at any observation count.
+# The residual pass and the normal equations go over runs of whole tracks
+# of at most this many table rows (a longer track is a run of its own),
+# so their per-row working set stays bounded at any observation count.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -182,26 +182,39 @@ def select_anchor_view(tracks, n_views, reference_view, centers) -> int | None:
     return None
 
 
-def _residuals(table, Rs, Cs, on_degenerate):
-    """One 2-vector per table row (tracks by id, views in track order,
-    anchor-left view skipped); rows of tracks whose anchor pair
-    collapsed (:attr:`AnchorTerms.collapsed`) are zero. Returns
-    (residuals, dropped track ids, the kernel's terms)."""
-    terms = anchored_terms(table, Rs, Cs)
-    degenerate = terms.collapsed
-    if on_degenerate == "raise" and degenerate.any():
-        k = int(np.argmax(degenerate))
-        raise DegenerateBase(
-            f"track {table.track_ids[k]}: anchor pair theta^2 "
-            f"{terms.theta_sq[k]!r} collapsed below the floor"
-        )
+def _project(table, Rs, terms):
+    """Each row's rotation R = R_i, its feature relative to the observing
+    center Q = P - C_i = depth g + T (world frame), and Y = R Q, the
+    feature in the observing camera's frame."""
     row_track = table.row_track
+    R = Rs[table.row_view]
     Q = terms.depth[row_track, None] * terms.g[row_track] + terms.T
-    Y = np.einsum("kij,kj->ki", Rs[table.row_view], Q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        res = Y[:, :2] / Y[:, 2:3] - table.obs_xy[table.rows]
-    res[degenerate[row_track]] = 0.0
-    return res.reshape(-1), table.track_ids[degenerate].tolist(), terms
+    return R, Q, np.einsum("kij,kj->ki", R, Q)
+
+
+def _residuals(runs, Rs, Cs, on_degenerate):
+    """One 2-vector per table row (tracks by id, views in track order,
+    anchor-left view skipped), one run at a time; rows of tracks whose
+    anchor pair collapsed (:attr:`AnchorTerms.collapsed`) are zero.
+    Returns (residuals, dropped track ids, each run's kernel terms)."""
+    res = np.empty((sum(len(run.rows) for run in runs), 2))
+    dropped, terms = [], []
+    stop = 0
+    for run in runs:
+        part = anchored_terms(run, Rs, Cs)
+        degenerate = part.collapsed
+        if on_degenerate == "raise" and degenerate.any():
+            k = int(np.argmax(degenerate))
+            raise DegenerateBase(f"track {run.track_ids[k]}: anchor pair theta^2 "
+                                 f"{part.theta_sq[k]!r} collapsed below the floor")
+        Y = _project(run, Rs, part)[2]
+        start, stop = stop, stop + len(run.rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res[start:stop] = Y[:, :2] / Y[:, 2:3] - run.obs_xy[run.rows]
+        res[start:stop][degenerate[run.row_track]] = 0.0
+        dropped += run.track_ids[degenerate].tolist()
+        terms.append(part)
+    return res.reshape(-1), dropped, terms
 
 
 def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
@@ -214,8 +227,7 @@ def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
     dropped_track_ids).
     """
     Rs, Cs = pose_arrays(poses)
-    table = build_table(tracks, bases)
-    return _residuals(table, Rs, Cs, on_degenerate)[:2]
+    return _residuals([build_table(tracks, bases)], Rs, Cs, on_degenerate)[:2]
 
 
 def _factors(table, Rs, terms):
@@ -255,19 +267,16 @@ def _factors(table, Rs, terms):
     dP[:, :, 3:6] += np.eye(3)
     dP[~valid] = 0.0
 
-    row_track = table.row_track
-    R = Rs[table.row_view]
-    Q = terms.depth[row_track, None] * g[row_track] + terms.T
-    Y = np.einsum("kij,kj->ki", R, Q)
+    R, Q, Y = _project(table, Rs, terms)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = Y[:, 2:3]
         proj = Y[:, :2] / z
         # P_pi @ v = (v[:2] - proj * v[2]) / z
         PR = (R[:, :2] - proj[:, :, None] * R[:, 2:3]) / z[:, :, None]
-    PRN = np.empty((len(row_track), 2, 6))
+    PRN = np.empty((len(R), 2, 6))
     PRN[:, :, :3] = -cross_rows(PR, Q[:, None, :])
     PRN[:, :, 3:] = -PR
-    dead = ~valid[row_track]
+    dead = ~valid[table.row_track]
     PR[dead] = 0.0
     PRN[dead] = 0.0
 
@@ -281,18 +290,6 @@ def _factors(table, Rs, terms):
     return Jc, Jp, D
 
 
-def _jacobian(table, Rs, Cs, param) -> sp.csr_matrix:
-    """Analytic Jacobian at (Rs, Cs) over the parameters of ``param``:
-    ``J = (Jc + Jp D) S`` from :func:`_factors` and the parameter map S
-    (:meth:`PoseParameterization.matrix`). The sum merges an observing
-    view equal to the anchor right into one block; the product with S
-    drops the reference view and frozen rotations and contracts the
-    scale anchor's center through its tangent basis.
-    """
-    Jc, Jp, D = _factors(table, Rs, anchored_terms(table, Rs, Cs))
-    return (Jc + Jp @ D).tocsr() @ param.matrix(Cs)
-
-
 def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) -> sp.csr_matrix:
     """Analytic Jacobian of :func:`pa_residuals` at the given poses.
 
@@ -303,7 +300,8 @@ def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) ->
     """
     Rs, Cs = pose_arrays(poses)
     table = build_table(tracks, bases)
-    return _jacobian(table, Rs, Cs, parameterization)
+    Jc, Jp, D = _factors(table, Rs, anchored_terms(table, Rs, Cs))
+    return (Jc + Jp @ D).tocsr() @ parameterization.matrix(Cs)
 
 
 def _run_products(table, Rs, terms, res):
@@ -338,24 +336,25 @@ def _run_products(table, Rs, terms, res):
 
 
 def _normal_equations(runs, Rs, terms, res, S):
-    """G = J'J and grad = J'r of the pose-only cost at the poses ``terms``
-    and ``res`` were evaluated at, over the parameters of the map ``S``,
-    without forming J.
+    """G = J'J and grad = J'r of the pose-only cost over the parameters of
+    the map ``S``, without forming J, at the poses :func:`_residuals` gave
+    ``res`` and the per-run ``terms`` at.
 
     The ``runs`` of whole tracks (:func:`~poseonly.observations.split_table`)
-    go through :func:`_run_products` one at a time. No track spans two
-    runs, so their X and J6'r add up to the whole table's, and the
-    block-sparse arrays hold one run of at most ``_CHUNK_ROWS`` rows
-    (more only for a single longer track). Only the dense
-    G6 = X + X' (6n x 6n), which gives G = S'G6S and grad = S'g6, grows,
-    with the views.
+    go through :func:`_run_products` one at a time with their terms and
+    slices of ``res``. No track spans two runs, so their X and J6'r add
+    up to the whole table's, and the block-sparse arrays hold one run of
+    at most ``_CHUNK_ROWS`` rows (more only for a single longer track).
+    Only the dense G6 = X + X' (6n x 6n), which gives G = S'G6S and
+    grad = S'g6, grows, with the views.
     """
     n = len(Rs)
     G6, g6 = np.zeros((6 * n, 6 * n)), np.zeros(6 * n)
     G6_blocks = G6.reshape(n, 6, n, 6).swapaxes(1, 2)  # [u, v] is the 6x6 block (u, v)
-    for tracks, rows, table in runs:
-        X, Jr = _run_products(table, Rs, terms.part(tracks, rows),
-                              res[2 * rows.start:2 * rows.stop])
+    stop = 0
+    for run, part in zip(runs, terms):
+        start, stop = stop, stop + 2 * len(run.rows)
+        X, Jr = _run_products(run, Rs, part, res[start:stop])
         X.sum_duplicates()  # the += below needs each block once
         G6_blocks[np.repeat(np.arange(n), np.diff(X.indptr)), X.indices] += X.data
         g6 += Jr
@@ -384,8 +383,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
         raise InsufficientParallax(
             f"none of {len(tracks)} track(s) carries parallax; nothing to refine"
         )
-    table = build_table(tracks, bases)
-    runs = split_table(table, _CHUNK_ROWS)
+    runs = split_table(build_table(tracks, bases), _CHUNK_ROWS)
 
     used = [t for t in tracks if t.track_id in bases]
     anchor_view = select_anchor_view(used, n_views, reference_view, Cs)
@@ -394,7 +392,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
         n_views, reference_view, anchor_view, config.refine_rotations, radius
     )
 
-    res, dropped, terms = _residuals(table, Rs, Cs, "drop")
+    res, dropped, terms = _residuals(runs, Rs, Cs, "drop")
     cost = float(res @ res)
     if not np.isfinite(cost):
         raise DivergedNumerically(f"initial cost is {cost!r}")
@@ -421,7 +419,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
                 lam *= _LM_UP
                 continue
             Rs_try, Cs_try = param.apply(Rs, Cs, delta)
-            res_try, dropped_try, terms_try = _residuals(table, Rs_try, Cs_try, "drop")
+            res_try, dropped_try, terms_try = _residuals(runs, Rs_try, Cs_try, "drop")
             cost_try = float(res_try @ res_try)
             if np.isfinite(cost_try) and cost_try < cost:
                 accepted = True

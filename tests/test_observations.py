@@ -68,23 +68,22 @@ class TestTable:
         runs = split_table(table, max_rows)
 
         # Consecutive runs of whole tracks cover every track and row once.
-        track_cuts = [0] + [tracks_.stop for tracks_, _, _ in runs]
-        assert [tracks_.start for tracks_, _, _ in runs] == track_cuts[:-1]
+        track_cuts = np.cumsum([0] + [len(run.left) for run in runs]).tolist()
+        row_cuts = np.cumsum([0] + [len(run.rows) for run in runs]).tolist()
         assert track_cuts[-1] == len(table.left)
-        for tracks_, rows, part in runs:
-            assert (rows.start, rows.stop) == (table.row_start[tracks_.start],
-                                               table.row_start[tracks_.stop])
-            assert rows.stop - rows.start <= max_rows or len(part.left) == 1
+        assert row_cuts == table.row_start[track_cuts].tolist()
+        for run in runs:
+            assert len(run.rows) <= max_rows or len(run.left) == 1
 
         # The re-based index arrays rebuild the table's.
         shift = {"none": [0] * len(runs),
-                 "track": [tracks_.start for tracks_, _, _ in runs],
-                 "row": [rows.start for _, rows, _ in runs],
-                 "obs": [table.track_start[tracks_.start] for tracks_, _, _ in runs]}
+                 "track": track_cuts[:-1],
+                 "row": row_cuts[:-1],
+                 "obs": table.track_start[track_cuts[:-1]].tolist()}
 
         def joined(field, offset):
-            return np.concatenate([getattr(part, field) + s
-                                   for (_, _, part), s in zip(runs, shift[offset])])
+            return np.concatenate([getattr(run, field) + s
+                                   for run, s in zip(runs, shift[offset])])
 
         for field, offset in (("track_ids", "none"), ("obs_view", "none"), ("obs_xy", "none"),
                               ("left", "none"), ("right", "none"), ("theta", "none"),
@@ -92,18 +91,17 @@ class TestTable:
                               ("right_row", "row")):
             assert np.array_equal(joined(field, offset), getattr(table, field))
         for field, offset in (("track_start", "obs"), ("row_start", "row")):
-            for (tracks_, _, part), s in zip(runs, shift[offset]):
-                assert np.array_equal(getattr(part, field) + s,
-                                      getattr(table, field)[tracks_.start:tracks_.stop + 1])
+            for run, t0, t1, s in zip(runs, track_cuts, track_cuts[1:], shift[offset]):
+                assert np.array_equal(getattr(run, field) + s, getattr(table, field)[t0:t1 + 1])
 
         # A run's table is a table of its own: the kernel on it gives the
-        # run's part of the whole table's terms, which views them.
-        for tracks_, rows, part in runs:
-            own = anchored_terms(part, prob.rotations, prob.gt_centers())
-            sliced = terms.part(tracks_, rows)
-            for name in ("x", "W", "g", "a", "theta_sq", "T", "depth"):
-                assert np.array_equal(getattr(own, name), getattr(sliced, name))
-                assert np.shares_memory(getattr(sliced, name), getattr(terms, name))
+        # run's slice of the whole table's terms.
+        for run, t0, t1, r0, r1 in zip(runs, track_cuts, track_cuts[1:], row_cuts, row_cuts[1:]):
+            own = anchored_terms(run, prob.rotations, prob.gt_centers())
+            for name in ("x", "W", "T"):
+                assert np.array_equal(getattr(own, name), getattr(terms, name)[r0:r1])
+            for name in ("g", "a", "theta_sq", "depth"):
+                assert np.array_equal(getattr(own, name), getattr(terms, name)[t0:t1])
 
     def test_split_of_an_empty_table_has_no_runs(self):
         assert split_table(build_table([], {}), 10) == []

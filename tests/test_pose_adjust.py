@@ -131,6 +131,73 @@ class TestResiduals:
         assert dropped == [9]
         assert np.all(res == 0)
 
+    def test_independent_of_runs(self, monkeypatch):
+        # Tracks 3 and 8 of a noisy 6-view scene are replaced by tracks
+        # whose anchor rays in views 0 and 1 agree up to rounding, so
+        # their anchor pairs collapse; they come in reversed order.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=6, n_points=12, seed=17, obs_noise_sigma=1e-3)
+        )
+        poses = prob.gt_poses
+        Rs, Cs = pose_arrays(poses)
+        bases = bases_for(prob)
+        tracks = [t for t in prob.tracks if t.track_id not in (3, 8)]
+        ray = Rs[1] @ Rs[0].T @ np.array([0.1, -0.2, 1.0])
+        for track_id in (8, 3):
+            tracks.append(po.Track(track_id, [0, 1, 2],
+                                   [[0.1, -0.2], ray[:2] / ray[2], [0.3, 0.1]]))
+            bases[track_id] = po.BaseViewPair(0, 1, 0.0)
+        res, dropped = pa_residuals(poses, tracks, bases, on_degenerate="drop")
+        assert dropped == [3, 8]
+        assert np.all(np.isfinite(res)) and np.count_nonzero(res) == len(res) - 8
+
+        # 10 tracks of 5 rows and 2 of 2: runs of 1 row leave every track
+        # alone, runs of 11 rows hold 2 tracks each (one collapsed track
+        # beside a kept one), and 2^40 holds all.
+        table = build_table(tracks, bases)
+        for max_rows in (1, 11, 1 << 40):
+            runs = split_table(table, max_rows)
+            assert len(runs) == {1: 12, 11: 6, 1 << 40: 1}[max_rows]
+            res_runs, dropped_runs, terms = _residuals(runs, Rs, Cs, "drop")
+            assert np.array_equal(res_runs, res) and dropped_runs == dropped
+            assert len(terms) == len(runs)
+            with pytest.raises(DegenerateBase, match=r"^track 3:"):
+                _residuals(runs, Rs, Cs, "raise")
+        with pytest.raises(DegenerateBase, match=r"^track 3:"):
+            pa_residuals(poses, tracks, bases)
+
+        # pa_optimize's initial cost is the same sum at every run size.
+        costs = []
+        for max_rows in (1, 11, 1 << 40):
+            monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", max_rows)
+            _, report = po.pa_optimize(poses, prob.tracks, PAConfig(max_iter=0))
+            costs.append(report.initial_cost)
+        res, _ = pa_residuals(poses, prob.tracks, bases_for(prob))
+        assert costs == [float(res @ res)] * 3
+
+    def test_trial_pass_memory_independent_of_observation_count(self):
+        # 19,000 and 76,000 rows: what the pass allocates and frees again
+        # is one run's, so four times the observations may not cost 1.5
+        # times the transient memory. What it returns (the residuals and
+        # each run's terms) is held, and grows with the rows.
+        transient = []
+        for n_points in (1000, 4000):
+            prob = po.generate_scene(
+                po.SceneConfig(n_views=20, n_points=n_points, seed=43, obs_noise_sigma=1e-3)
+            )
+            Rs, Cs = pose_arrays(prob.gt_poses)
+            runs = split_table(build_table(prob.tracks, bases_for(prob)),
+                               pose_adjust._CHUNK_ROWS)
+            tracemalloc.start()
+            try:
+                held = _residuals(runs, Rs, Cs, "drop")
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del held
+            transient.append(peak - current)
+        assert transient[1] < 1.5 * transient[0], transient
+
 
 class TestJacobian:
     def test_matches_central_differences_s1_noisy(self, scene_s1):
@@ -190,9 +257,8 @@ def normal_equations_and_oracle(poses, tracks, bases, param):
     """(G, grad) as pa_optimize forms them, and (J'J, J'r) from the
     pa_jacobian oracle, at the same poses."""
     Rs, Cs = pose_arrays(poses)
-    table = build_table(tracks, bases)
-    res, _, terms = _residuals(table, Rs, Cs, "drop")
-    runs = split_table(table, pose_adjust._CHUNK_ROWS)
+    runs = split_table(build_table(tracks, bases), pose_adjust._CHUNK_ROWS)
+    res, _, terms = _residuals(runs, Rs, Cs, "drop")
     G, grad = _normal_equations(runs, Rs, terms, res, param.matrix(Cs))
     J = pa_jacobian(poses, tracks, bases, param)
     return G, grad, (J.T @ J).toarray(), J.T @ res
@@ -218,7 +284,7 @@ class TestNormalEquations:
         assert len(split_table(table, pose_adjust._CHUNK_ROWS)) == 1
         G_one, grad_one, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
         for max_rows in (several, 1):
-            per_run = [t.stop - t.start for t, _, _ in split_table(table, max_rows)]
+            per_run = [len(run.left) for run in split_table(table, max_rows)]
             if max_rows == 1:
                 assert per_run == [1] * len(table.left)
             else:
@@ -277,7 +343,7 @@ class TestNormalEquations:
             Rs, Cs = pose_arrays(prob.gt_poses)
             table = build_table(prob.tracks, bases_for(prob))
             runs = split_table(table, pose_adjust._CHUNK_ROWS)
-            res, _, terms = _residuals(table, Rs, Cs, "drop")
+            res, _, terms = _residuals(runs, Rs, Cs, "drop")
             S = default_param(prob).matrix(Cs)
             tracemalloc.start()
             try:
