@@ -14,7 +14,10 @@ import numpy as np
 
 from .errors import DisconnectedViewGraph
 from .geometry import skew_batch
-from .translation_solver import SVD_RESOLUTION, floored_gap
+from .translation_solver import floored_gap
+
+# Relative resolution of the SVD's singular values: the rank test's floor.
+SVD_RESOLUTION = 1e-14
 
 
 @dataclass(frozen=True)

@@ -223,9 +223,11 @@ def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
     Depths come from the anchor pair evaluated with the observed (noisy)
     rays and the current poses. ``on_degenerate`` chooses between
     raising DegenerateBase and dropping the track's slots (zero
-    contribution) as the optimizer does; returns (residuals,
-    dropped_track_ids).
+    contribution) as the optimizer does, ``"raise"`` or ``"drop"``;
+    returns (residuals, dropped_track_ids).
     """
+    if on_degenerate not in ("raise", "drop"):
+        raise ValueError(f"on_degenerate must be 'raise' or 'drop', not {on_degenerate!r}")
     Rs, Cs = pose_arrays(poses)
     return _residuals([build_table(tracks, bases)], Rs, Cs, on_degenerate)[:2]
 

@@ -21,10 +21,10 @@ collinear motion and under views that only rotate in place.
 
 The system stores the blocks' terms, not the blocks. The null vector and
 the spectrum come from them without building the tall reduced matrix:
-while it is small, from the SVD of its triangle, QR-factored from 2 rows
-per block (:func:`_dense_triangle`), and beyond that from an eigensolve
-of its Gram matrix (:func:`_block_gram`). The reduced shape alone decides
-(:func:`_spectrum`), and each way floors the rank test at its own resolution.
+from an eigensolve of its Gram matrix (:func:`_block_gram`), accumulated
+a chunk of blocks at a time, whatever the system's size
+(:func:`_spectrum`). The rank test floors singular values at that
+eigensolve's resolution, sqrt(cols * eps) of the largest.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InsufficientParallax, RankDeficient
-from .geometry import cross_rows, skew_batch
+from .geometry import skew_batch
 from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-exported
     BaseViewPair,
     anchored_terms,
@@ -42,25 +42,14 @@ from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-e
     select_bases,
 )
 
-# The dense/Gram crossover: up to this reduced shape the chunked QR+SVD
-# costs little and resolves singular values to SVD_RESOLUTION; beyond it
-# the block Gram's eigensolve is far faster, at the coarser resolution
-# sqrt(cols * eps). Neither path builds the tall matrix.
-_DENSE_MAX_COLS = 1500
-_DENSE_MAX_ENTRIES = 40_000_000
 _MATRIX_CHUNK = 1 << 13  # blocks expanded at once by _block_gram
-# Rows factored at once by _dense_triangle: eight times the column count,
-# so a chunk stays cache-sized yet tall next to its triangle, but no
-# fewer than 1024, below which the cost of each QR call dominates.
-_QR_CHUNK_ROWS_PER_COL = 8
-_QR_CHUNK_MIN_ROWS = 1024
-# Relative resolution of the dense SVD's singular values.
-SVD_RESOLUTION = 1e-14
 
 # sigma_2 / sigma_1 below this means the null space is not unique.
-# Exact-data rank gaps exceed 1e6 and genuinely ambiguous systems sit
-# near 1; healthy systems under 1e-3 observation noise measure gaps of
-# roughly 30-100, so the refusal threshold must stay below that band.
+# Exact-data gaps read sigma_2 over the eigensolve's floor, mostly
+# 1e4-1e7 on the simulator's scenes (a 60-view scene of 2 points read
+# 452), and genuinely ambiguous systems sit near 1; healthy systems under
+# 1e-3 observation noise measure gaps of roughly 30-100, so the refusal
+# threshold must stay below that band.
 RANK_RATIO_MIN = 10.0
 
 
@@ -152,8 +141,8 @@ class TranslationSystem:
         """Constraint matrix with the reference view's columns removed.
 
         The solver never builds it or :meth:`full_matrix`; both stay as
-        the oracles the tests check ``_dense_triangle`` and
-        ``_block_gram`` against.
+        the oracles the tests check ``_block_gram`` and the spectrum
+        against.
         """
         return self.full_matrix()[:, self.free_columns]
 
@@ -243,69 +232,17 @@ def _block_gram(system: TranslationSystem) -> np.ndarray:
     return half + half.T
 
 
-def _ray_basis(x: np.ndarray) -> np.ndarray:
-    """(k, 2, 3) orthonormal basis (e1, e2) of the plane orthogonal to
-    each ray of ``x`` (k, 3), with ``e2 = x/|x| x e1``; e1 is x crossed
-    with the axis along which x is smallest, so it never degenerates."""
-    e1 = cross_rows(x, np.eye(3)[np.abs(x).argmin(axis=1)])
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = cross_rows(x, e1)
-    e2 /= np.linalg.norm(e2, axis=1)[:, None]
-    return np.stack((e1, e2), axis=1)
-
-
-def _dense_triangle(system: TranslationSystem) -> np.ndarray:
-    """Triangle T of the reduced constraint matrix R (``T'T = R'R``), by a
-    tall-skinny QR straight from the blocks; R is never built.
-
-    The ray x annihilates both blocks from the left, so their rows along
-    a basis e of x's orthogonal plane keep R'R: ``(e . W) a'`` of B and
-    ``theta^2 (e x x)'`` of C. A chunk of blocks becomes dense rows, 2 per
-    block: B at the anchor-right view's columns, D = -(B + C) at the
-    anchor-left's, and C added at the observing view's, which may be the
-    anchor right. The reference view's columns sit last and are cut off.
-    Each chunk is QR-factored, and the stacked chunk triangles are
-    factored once more. T shares R's singular values and right-singular
-    vectors.
-    """
-    n = system.n_views
-    cols = 3 * (n - 1)
-    slot = np.arange(n) - (np.arange(n) > system.reference_view)
-    slot[system.reference_view] = n - 1
-    step = -(-max(_QR_CHUNK_MIN_ROWS, _QR_CHUNK_ROWS_PER_COL * cols) // 2)
-    triangles = []
-    for lo in range(0, len(system.x), step):
-        x, track = system.x[lo:lo + step], system.row_track[lo:lo + step]
-        E = _ray_basis(x)
-        B = (E @ system.W[lo:lo + step, :, None]) * system.probe_a[track][:, None, :]
-        C = system.theta_sq[track][:, None, None] * cross_rows(E, x[:, None, :])
-        k = np.arange(len(x))
-        rows = np.zeros((len(x), 2, n, 3))  # (block, row, view slot, col)
-        rows[k, :, slot[system.rights[lo:lo + step]]] = B
-        rows[k, :, slot[system.lefts[lo:lo + step]]] = -(B + C)
-        rows[k, :, slot[system.row_views[lo:lo + step]]] += C
-        triangles.append(np.linalg.qr(rows.reshape(2 * len(x), 3 * n)[:, :cols], mode="r"))
-    return np.linalg.qr(np.concatenate(triangles), mode="r")
-
-
 def _spectrum(system: TranslationSystem, k: int):
     """At most k smallest singular values (ascending) of the reduced
     system, the right-singular vector of the smallest one, and the
-    resolution floor of the path that computed them.
+    resolution floor below which singular values are rounding noise.
 
-    The reduced shape alone picks the path, without building either
-    matrix. Up to ``_DENSE_MAX_COLS`` columns and ``_DENSE_MAX_ENTRIES``
-    entries, the SVD of its QR triangle resolves singular values down to
-    ``SVD_RESOLUTION`` of sigma_max. Larger systems take the
-    eigenvectors of the block Gram matrix R'R; ``eigh`` resolves its
-    eigenvalues only to about ``cols * eps`` of sigma_max^2, so singular
-    values below ``sqrt(cols * eps)`` of sigma_max are rounding noise.
+    All three come from ``eigh`` of the block Gram matrix R'R.
+    The normal equations square R's condition number: ``eigh`` resolves
+    their eigenvalues only to about ``cols * eps`` of sigma_max^2, so
+    the floor is ``sqrt(cols * eps)`` of sigma_max.
     """
-    rows, cols = 3 * len(system.x), 3 * (system.n_views - 1)
-    k = min(k, cols)
-    if cols <= _DENSE_MAX_COLS and rows * cols <= _DENSE_MAX_ENTRIES:
-        _, s, Vt = np.linalg.svd(_dense_triangle(system), full_matrices=False)
-        return s[::-1][:k], Vt[-1], SVD_RESOLUTION * float(s[0])
+    cols = 3 * (system.n_views - 1)
     w, V = np.linalg.eigh(_block_gram(system))
     sigma = np.sqrt(np.clip(w[:k], 0.0, None))
     sigma_max = float(np.sqrt(max(w[-1], 0.0)))

@@ -130,6 +130,8 @@ class TestResiduals:
         res, dropped = pa_residuals(poses, [track], bases, on_degenerate="drop")
         assert dropped == [9]
         assert np.all(res == 0)
+        with pytest.raises(ValueError, match="'rasie'"):
+            pa_residuals(poses, [track], bases, on_degenerate="rasie")
 
     def test_independent_of_runs(self, monkeypatch):
         # Tracks 3 and 8 of a noisy 6-view scene are replaced by tracks

@@ -230,14 +230,12 @@ class TestBlockGram:
         assert_block_gram_matches(system)
 
     def test_eval_report_unchanged_from_stored_blocks(self, monkeypatch):
-        # On the Gram path, which large systems take, evaluate_poses gives
-        # the very report it gave when the system stored its 3x3 blocks and
-        # the anchors came from the Gram identity: every chunk of B and C
-        # is then a slice of the full arrays.
+        # evaluate_poses gives the very report it gave when the system
+        # stored its 3x3 blocks and the anchors came from the Gram identity:
+        # every chunk of B and C is then a slice of the full arrays.
         prob = po.generate_scene(
             po.SceneConfig(n_views=12, n_points=60, seed=71, obs_noise_sigma=1e-3)
         )
-        monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", 0)
         monkeypatch.setattr(translation_solver, "_MATRIX_CHUNK", 100)
         centers = solve_problem_centers(prob)
         poses = [po.CameraPose(R, c) for R, c in zip(prob.rotations, centers)]
@@ -251,85 +249,36 @@ class TestBlockGram:
         assert report_lines(po.evaluate_poses(prob, poses)) == compact
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_normal_spectrum_matches_dense(self, case, monkeypatch):
-        # The Gram path resolves singular values only down to about 1e-8
-        # of sigma_max (the square root of rounding), which is where an
-        # exact scene's sigma_1 sits.
+    def test_normal_spectrum_matches_dense(self, case):
+        # The Gram eigensolve resolves singular values only down to about
+        # 1e-8 of sigma_max (the square root of rounding), which is where
+        # an exact scene's sigma_1 sits; the SVD of the reduced CSR matrix
+        # resolves them to rounding.
         prob, reference = self.CASES[case]()
         system = po.assemble_system(prob.tracks, prob.rotations, reference)
-        dense = po.singular_spectrum(system, 4)
-        sigma_max = np.linalg.norm(system.reduced_matrix().toarray(), 2)
-        monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", 0)
+        s = np.linalg.svd(system.reduced_matrix().toarray(), compute_uv=False)
+        dense, sigma_max = s[::-1][:4], s[0]
         normal = po.singular_spectrum(system, 4)
         assert np.allclose(normal, dense, rtol=1e-8, atol=1e-7 * sigma_max)
 
-
-def assert_triangle_gram_matches(system):
-    """The 2-row-per-block triangle T has T'T = R'R, R the reduced CSR
-    matrix."""
-    R = system.reduced_matrix()
-    expected = (R.T @ R).toarray()
-    T = translation_solver._dense_triangle(system)
-    assert np.abs(T.T @ T - expected).max() <= 1e-13 * np.abs(expected).max()
-
-
-def assert_dense_triangle_matches(system):
-    """The chunked triangle has the Gram matrix and the singular values of
-    the reduced CSR matrix, and the dense path returns its null vector."""
-    assert_triangle_gram_matches(system)
-    _, s, Vt = np.linalg.svd(system.reduced_matrix().toarray(), full_matrices=False)
-    t = np.linalg.svd(translation_solver._dense_triangle(system), compute_uv=False)
-    assert np.abs(t - s).max() <= 1e-13 * s[0]
-    spectrum, null_vec, _ = translation_solver._spectrum(system, 4)
-    assert np.abs(spectrum - s[::-1][:4]).max() <= 1e-13 * s[0]
-    null_vec = null_vec * np.sign(null_vec @ Vt[-1])
-    assert np.abs(null_vec - Vt[-1]).max() <= 1e-12
-
-
-class TestDenseTriangle:
-    @pytest.mark.parametrize("case", sorted(TestBlockGram.CASES))
-    def test_matches_svd_across_chunks(self, case, monkeypatch):
-        # Chunks of 11 blocks cut through tracks.
-        prob, reference = TestBlockGram.CASES[case]()
-        system = po.assemble_system(prob.tracks, prob.rotations, reference)
-        monkeypatch.setattr(translation_solver, "_QR_CHUNK_ROWS_PER_COL", 0)
-        monkeypatch.setattr(translation_solver, "_QR_CHUNK_MIN_ROWS", 22)
-        assert_dense_triangle_matches(system)
-
     def test_cases_cover_repeated_and_reference_columns(self):
-        # What the test above relies on: every track's anchor-right view
+        # What the cases above rely on: every track's anchor-right view
         # observes it, so those rows put B and C in the same columns, and
         # in "partial tracks" the reference view is the anchor left of
         # some tracks and the anchor right of others.
-        prob, reference = TestBlockGram.CASES["partial tracks"]()
+        prob, reference = self.CASES["partial tracks"]()
         system = po.assemble_system(prob.tracks, prob.rotations, reference)
         assert np.any(system.row_views == system.rights)
         assert np.any(system.lefts == reference) and np.any(system.rights == reference)
 
-    def test_system_within_one_chunk(self):
-        prob, reference = TestBlockGram.CASES["collinear"]()
-        system = po.assemble_system(prob.tracks, prob.rotations, reference)
-        assert 2 * len(system.B) < translation_solver._QR_CHUNK_MIN_ROWS
-        assert_dense_triangle_matches(system)
-
-    def test_last_chunk_shorter_than_columns(self, monkeypatch):
-        # All blocks but one fill the first chunk; the last chunk's 2 rows
-        # give a triangle of fewer rows than columns.
-        prob = exact_generic_scene(66)
-        system = po.assemble_system(prob.tracks, prob.rotations, 0)
-        monkeypatch.setattr(translation_solver, "_QR_CHUNK_ROWS_PER_COL", 0)
-        monkeypatch.setattr(translation_solver, "_QR_CHUNK_MIN_ROWS", 2 * (len(system.B) - 1))
-        assert_dense_triangle_matches(system)
-
     def test_gluing_row_keeps_its_rows(self):
-        # A row with W = 0 still projects its C onto two rows; the basis
-        # depends on the ray alone.
+        # A row with W = 0 has B = 0 but still adds its C's terms.
         tracks, rotations = gluing_scene()
         system = po.assemble_system(tracks, rotations, 0)
         assert np.any(np.all(system.W == 0, axis=1))
-        assert_triangle_gram_matches(system)
+        assert_block_gram_matches(system)
 
-    def test_dense_path_builds_no_matrix(self, monkeypatch):
+    def test_solve_path_builds_no_matrix(self, monkeypatch):
         prob = exact_generic_scene(67)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
 
@@ -385,21 +334,12 @@ class TestSolve:
     def test_rank_deficient_raises(self, scene_s1):
         # Two copies of one track carry a single point's constraints
         # twice; the null space is then multi-dimensional and the solve
-        # must refuse rather than return an arbitrary vector.
+        # must refuse rather than return an arbitrary vector. eigh on the
+        # Gram matrix leaves the two zero singular values near 1e-8 of
+        # sigma_max; only the eigensolve's floor shows them as zeros.
         t0 = scene_s1.tracks[0]
         tracks = [t0, po.Track(1, t0.view_ids, t0.points.copy())]
         system = po.assemble_system(tracks, scene_s1.rotations, 0)
-        with pytest.raises(RankDeficient):
-            po.solve_translations(system)
-
-    def test_rank_deficient_raises_on_gram_path(self, scene_s1, monkeypatch):
-        # eigh on the Gram matrix leaves the two zero singular values of
-        # the duplicated track near 1e-8 of sigma_max, far above the SVD
-        # floor; only the Gram path's own floor shows them as zeros.
-        t0 = scene_s1.tracks[0]
-        tracks = [t0, po.Track(1, t0.view_ids, t0.points.copy())]
-        system = po.assemble_system(tracks, scene_s1.rotations, 0)
-        monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", 0)
         with pytest.raises(RankDeficient):
             po.solve_translations(system)
         assert po.spectral_gap(system) < translation_solver.RANK_RATIO_MIN
@@ -422,42 +362,25 @@ class TestSolve:
         sol2 = solve_problem_centers(prob2)
         assert np.max(np.abs(sol1 - sol2)) < 1e-12
 
-    def test_determinism_bitwise(self, monkeypatch):
+    def test_determinism_bitwise(self):
         prob = exact_generic_scene(79, n_views=6, n_points=20)
         system_a = po.assemble_system(prob.tracks, prob.rotations, 0)
         system_b = po.assemble_system(prob.tracks, prob.rotations, 0)
         assert np.array_equal(system_a.row_views, system_b.row_views)
         assert np.array_equal(system_a.B, system_b.B)
         assert np.array_equal(system_a.C, system_b.C)
-        for dense_max_cols in (translation_solver._DENSE_MAX_COLS, 0):  # dense, then Gram
-            monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", dense_max_cols)
-            sol_a = po.solve_translations(system_a)
-            sol_b = po.solve_translations(system_b)
-            assert np.array_equal(sol_a.translations, sol_b.translations)
+        sol_a = po.solve_translations(system_a)
+        sol_b = po.solve_translations(system_b)
+        assert np.array_equal(sol_a.translations, sol_b.translations)
 
-    def test_path_follows_shape(self, monkeypatch):
-        # 20 x 200 gives a 10,800 x 57 reduced matrix, solved by QR+SVD;
-        # 100 x 500 gives 147,000 x 297, past _DENSE_MAX_ENTRIES, solved
-        # through the block Gram matrix.
-        calls = []
-        block_gram = translation_solver._block_gram
-
-        def counted(system):
-            calls.append(system.n_views)
-            return block_gram(system)
-
-        monkeypatch.setattr(translation_solver, "_block_gram", counted)
-        for seed, n_views, n_points in ((83, 20, 200), (84, 100, 500)):
-            prob = exact_generic_scene(seed, n_views=n_views, n_points=n_points)
-            system = po.assemble_system(prob.tracks, prob.rotations, 0)
-            po.solve_translations(system)
-        assert calls == [100]
-
-    def test_normal_backend_matches_dense(self, monkeypatch):
+    def test_normal_backend_matches_dense(self):
+        # The null vector of the reduced CSR matrix's SVD, sign-voted.
         prob = exact_generic_scene(80, n_views=8, n_points=30)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
-        dense = po.solve_translations(system).translations
-        monkeypatch.setattr(translation_solver, "_DENSE_MAX_COLS", 0)
+        dense = np.zeros((system.n_views, 3))
+        dense.reshape(-1)[system.free_columns] = np.linalg.svd(
+            system.reduced_matrix().toarray())[2][-1]
+        dense, _ = disambiguate_sign(dense, system)
         normal = po.solve_translations(system).translations
         transform = po.align_similarity(normal, dense)
         assert transform.rms < 1e-8
@@ -504,6 +427,27 @@ class TestSpectrum:
         assert spec[1] / max(spec[0], 1e-300) > 1e6
         centers = solve_problem_centers(prob)
         assert po.aligned_center_rms(centers, prob.gt_centers()) < 1e-8
+
+    SIZES = {
+        "generic ring 60x200": ("generic_ring", 60, 200, 92),
+        "collinear 30x40": ("collinear", 30, 40, 93),
+        "local pure rotation 20x40": ("local_pure_rotation", 20, 40, 94),
+        "loop closure 60x40": ("loop_closure", 60, 40, 95),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SIZES))
+    def test_exact_scene_at_size(self, case):
+        # Sizes between the small scenes above and the large noisy ones:
+        # the eigensolve's floor, sqrt(cols * eps) of sigma_max, still
+        # leaves exact data a wide gap and centers near rounding.
+        motion, n_views, n_points, seed = self.SIZES[case]
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=n_views, n_points=n_points, motion=motion, seed=seed)
+        )
+        system = po.assemble_system(prob.tracks, prob.rotations, prob.reference_view)
+        assert po.spectral_gap(system) > 1e3
+        centers = po.solve_translations(system).translations
+        assert po.aligned_center_rms(centers, prob.gt_centers()) < 1e-9
 
     def test_k_bound(self, scene_s1):
         system = po.assemble_system(scene_s1.tracks, scene_s1.rotations, 0)
