@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InsufficientParallax, RankDeficient
-from .geometry import skew_batch
+from .geometry import cross_rows, skew_batch
 from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-exported
     BaseViewPair,
     anchored_terms,
@@ -42,7 +42,7 @@ from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-e
     select_bases,
 )
 
-_MATRIX_CHUNK = 1 << 13  # blocks expanded at once by _block_gram
+_MATRIX_CHUNK = 1 << 13  # rows scattered at once by _block_gram
 
 # sigma_2 / sigma_1 below this means the null space is not unique.
 # Exact-data gaps read sigma_2 over the eigensolve's floor, mostly
@@ -193,39 +193,48 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
 
 def _block_gram(system: TranslationSystem) -> np.ndarray:
     """Gram matrix ``R' R`` of the reduced constraint matrix R, accumulated
-    straight from the 3x3 blocks a chunk at a time; R is never built.
+    straight from the blocks' terms a chunk of rows at a time; neither R
+    nor the 3x3 blocks are built.
 
     With ``P = B'B``, ``Q = B'C`` and ``S = C'C`` a block adds ``P``,
     ``Q``, ``-(P + Q)``, ``S``, ``-(Q' + S)`` and ``P + Q + Q' + S`` to the
     (right, right), (right, row), (right, left), (row, row), (row, left)
     and (left, left) view blocks, and their transposes to the mirrored
-    blocks; D = -(B + C) is never multiplied. Only one half of each
-    symmetric pair is scattered (diagonal terms at 1/2), and the Gram
-    matrix is that half plus its transpose. The three terms keyed by
-    (right, left) alone are first summed over each run of equal keys;
-    rows come in track order, so a run is usually one track.
+    blocks; D = -(B + C) is never multiplied. The products have closed
+    forms in the stored terms: ``P = |W|^2 a a'``, ``Q = a u'`` with
+    ``u = theta^2 (W x x)`` and ``S = theta^4 (|x|^2 I - x x')``. Only one
+    half of each symmetric pair is scattered (diagonal terms at 1/2), one
+    entry of the 3x3 blocks at a time, and the Gram matrix is that half
+    plus its transpose. The three terms keyed by (right, left) alone are
+    first summed over each run of rows of one track.
     """
     n = system.n_views
     half = np.zeros((9, n * n))
     for lo in range(0, len(system.x), _MATRIX_CHUNK):
-        hi = min(lo + _MATRIX_CHUNK, len(system.x))
-        BC = np.concatenate(system._blocks(slice(lo, hi)), axis=2)
-        M = BC.transpose(0, 2, 1) @ BC  # [[P, Q], [Q', S]]
-        P, Q, Qt, S = M[:, :3, :3], M[:, :3, 3:], M[:, 3:, :3], M[:, 3:, 3:]
-        right, row, left = system.rights[lo:hi], system.row_views[lo:hi], system.lefts[lo:hi]
-        starts = np.flatnonzero(
-            np.concatenate(([True], (right[1:] != right[:-1]) | (left[1:] != left[:-1])))
-        )
-        Pk, Qk, Sk = (np.add.reduceat(X, starts) for X in (P, Q, S))
+        rows = slice(lo, min(lo + _MATRIX_CHUNK, len(system.x)))
+        track = system.row_track[rows]
+        starts = np.flatnonzero(np.concatenate(([True], track[1:] != track[:-1])))
+        theta_sq, a = system.theta_sq[track], system.probe_a[track]
+        x, W = system.x[rows], system.W[rows]
+        u = theta_sq[:, None] * cross_rows(W, x)
+        theta_4, x_sq = theta_sq * theta_sq, np.einsum("ki,ki->k", x, x)
+        W_sq_k = np.add.reduceat(np.einsum("ki,ki->k", W, W), starts)
+        a_k, u_k = a[starts].T.copy(), np.add.reduceat(u, starts).T.copy()
+        a, u, x = a.T.copy(), u.T.copy(), x.T.copy()
+        right, row, left = system.rights[rows], system.row_views[rows], system.lefts[rows]
         r, l = right[starts], left[starts]
         keys = np.concatenate(
             (r * n + r, r * n + l, l * n + l, right * n + row, row * n + row, row * n + left)
         )
-        values = np.concatenate(
-            (0.5 * Pk, -(Pk + Qk), Qk + 0.5 * (Pk + Sk), Q, 0.5 * S, -(Qt + S))
-        ).reshape(-1, 9).T.copy()
         for e in range(9):
-            half[e] += np.bincount(keys, weights=values[e], minlength=n * n)
+            i, j = divmod(e, 3)
+            S = theta_4 * ((x_sq if i == j else 0.0) - x[i] * x[j])
+            P_k, Q_k, S_k = W_sq_k * a_k[i] * a_k[j], a_k[i] * u_k[j], np.add.reduceat(S, starts)
+            values = np.concatenate((
+                0.5 * P_k, -(P_k + Q_k), Q_k + 0.5 * (P_k + S_k),
+                a[i] * u[j], 0.5 * S, -(a[j] * u[i] + S),
+            ))
+            half[e] += np.bincount(keys, weights=values, minlength=n * n)
     half = half.reshape(3, 3, n, n).transpose(2, 0, 3, 1).reshape(3 * n, 3 * n)
     keep = system.free_columns
     half = half[np.ix_(keep, keep)]

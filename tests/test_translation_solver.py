@@ -334,9 +334,17 @@ class TestSolve:
     def test_rank_deficient_raises(self, scene_s1):
         # Two copies of one track carry a single point's constraints
         # twice; the null space is then multi-dimensional and the solve
-        # must refuse rather than return an arbitrary vector. eigh on the
-        # Gram matrix leaves the two zero singular values near 1e-8 of
-        # sigma_max; only the eigensolve's floor shows them as zeros.
+        # must refuse rather than return an arbitrary vector.
+        t0 = scene_s1.tracks[0]
+        tracks = [t0, po.Track(1, t0.view_ids, t0.points.copy())]
+        system = po.assemble_system(tracks, scene_s1.rotations, 0)
+        with pytest.raises(RankDeficient):
+            po.solve_translations(system)
+
+    def test_rank_deficient_raises_on_gram_path(self, scene_s1):
+        # eigh on the Gram matrix resolves singular values only down to
+        # about 1e-8 of sigma_max; the duplicated track's two zeros are
+        # read against that floor, so the gap sits near 1.
         t0 = scene_s1.tracks[0]
         tracks = [t0, po.Track(1, t0.view_ids, t0.points.copy())]
         system = po.assemble_system(tracks, scene_s1.rotations, 0)
