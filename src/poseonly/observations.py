@@ -4,37 +4,40 @@ In the pose-only representation a feature's depth in its anchor-left
 view is a closed-form function of its anchor pair's observed rays and the
 camera poses. The linear translation system, pose-only refinement and
 analytic reconstruction all consume it, so they share one table of the
-anchored tracks' observations, sorted by (track, view)
-(:func:`build_table`), and one batched kernel over it
-(:func:`anchored_terms`). The kernel works in the world frame: with
-``x_i = R_i' X_i`` the world-frame ray of observation i and ``g`` the
-track's anchor-left ray, the feature sits at ``P = C_left + depth g``
-and every observation i outside the anchor-left view satisfies
-``theta^2 x_i x (P - C_i) = 0``. Per row the kernel gives ``x_i``,
-``W = x_i x g`` and ``T = C_left - C_i``; per track it gives ``g``, the
-anchor vector ``a = x_r (x_r.g) - g |x_r|^2`` (x_r: the anchor-right
-ray), ``theta^2 = |x_r x g|^2`` and the anchored depth
-``a . T_right / theta^2``.
+anchored tracks' observations, sorted by (track, view), and one batched
+kernel over it (:func:`anchored_terms`). The kernel works in the world
+frame: with ``x_i = R_i' X_i`` the world-frame ray of observation i and
+``g`` the track's anchor-left ray, the feature sits at
+``P = C_left + depth g`` and every observation i outside the anchor-left
+view satisfies ``theta^2 x_i x (P - C_i) = 0``. Per row the kernel gives
+``x_i``, ``W = x_i x g`` and ``T = C_left - C_i``; per track it gives
+``g``, the anchor vector ``a = x_r (x_r.g) - g |x_r|^2`` (x_r: the
+anchor-right ray), ``theta^2 = |x_r x g|^2`` and the anchored depth
+``a . T_right / theta^2``. Every world-frame ray is computed a bounded
+chunk of observations at a time.
 
 Pose-only refinement runs its residual pass (this kernel, then the
 projection) and its normal-equation build over the runs of
 :func:`split_table`, so their temporaries stay one run's; its Jacobian
 oracle takes the whole table as one run.
 
-This module alone holds the anchor policy: a track's anchor pair is its
-observation pair of maximal theta, chosen for all tracks in one batched
-pass (:func:`select_bases`), and theta at or below ``THETA_FLOOR`` is
-no parallax: such a track is degenerate at selection
-(:func:`select_base_views`), a refined pose set that collapses its
-anchor pair drops it (:attr:`AnchorTerms.collapsed`), and such a pair
-adds nothing to a fused depth (:meth:`AnchorTerms.pair_theta`).
+This module alone holds the anchor policy. The selection pass
+(:func:`anchor_table`) builds the table: it flattens the tracks once and
+writes each track's anchor pair, its observation pair of maximal theta,
+straight into the table's arrays; :func:`build_table` (anchors given),
+:func:`select_bases` and :func:`select_base_views` (anchors as
+``BaseViewPair`` objects) are that pass too. theta at or below
+``THETA_FLOOR`` is no parallax: such a track is degenerate at selection,
+a refined pose set that collapses its anchor pair drops it
+(:attr:`AnchorTerms.collapsed`), and such a pair adds nothing to a fused
+depth (:meth:`AnchorTerms.pair_theta`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllPairsDegenerate
+from .errors import AllPairsDegenerate, InputError
 from .geometry import THETA_FLOOR, Track, cross_rows, homogenize
 
 
@@ -47,95 +50,12 @@ class BaseViewPair:
     theta: float
 
 
-# Anchor selection builds K x K theta^2 tables for at most this many
-# entries at once (2 MB of float64): memory stays bounded whatever the
-# track count, and the working set stays in cache.
-_TABLE_ENTRIES = 1 << 18
-
-
-def _world_rays(rotations, views, xy) -> np.ndarray:
-    """World-frame rays ``R_v' X`` of image points ``xy`` (N, 2) seen in
-    ``views`` (N,)."""
-    return np.einsum("kji,kj->ki", rotations[views], homogenize(xy))
-
-
-def _max_theta_pairs(views, xy, rotations):
-    """Row-major first (p, q), p < q, of maximal theta^2 per track, for
-    tracks of one length K: ``views`` (T, K), ``xy`` (T, K, 2).
-
-    theta^2 of every pair is ||g_p x g_q||^2 = v_p . w_q over the
-    world-frame rays g = R_v' X_v, with
-    v = (g0^2, g1^2, g2^2, r g0 g1, r g0 g2, r g1 g2), r = sqrt(2), and
-    w = (|g|^2 - g0^2, |g|^2 - g1^2, |g|^2 - g2^2, -r g0 g1, -r g0 g2,
-    -r g1 g2), so a track's table is one (K, 6) @ (6, K) product, p >= q
-    masked by -inf. Tracks go in chunks whose tables hold at most
-    ``_TABLE_ENTRIES`` entries together (one track per chunk when K^2
-    alone exceeds it).
-    """
-    n, k = views.shape
-    mask = np.where(np.tri(k, dtype=bool), -np.inf, 0.0)
-    best = np.empty(n, dtype=np.intp)
-    step = max(1, _TABLE_ENTRIES // (k * k))
-    for s in range(0, n, step):
-        g = _world_rays(rotations, views[s:s + step].reshape(-1), xy[s:s + step].reshape(-1, 2))
-        sq = g * g
-        mixed = np.sqrt(2.0) * g[:, [0, 0, 1]] * g[:, [1, 2, 2]]
-        v = np.concatenate((sq, mixed), axis=1).reshape(-1, k, 6)
-        w = np.concatenate((sq.sum(axis=1)[:, None] - sq, -mixed), axis=1).reshape(-1, k, 6)
-        table = v @ w.transpose(0, 2, 1) + mask
-        best[s:s + step] = table.reshape(len(v), -1).argmax(axis=1)
-    return np.divmod(best, k)
-
-
-def _anchor_pairs(tracks, rotations):
-    """Anchor (left, right, theta) arrays of ``tracks``, in input order:
-    the observation pair of maximal theta, ties to the lexicographically
-    smallest (p, q). theta is recomputed from the winning pair's cross
-    product, so a track whose apparent maximum is rounding noise keeps a
-    theta at the noise level."""
-    n = len(tracks)
-    left, right = np.empty(n, dtype=int), np.empty(n, dtype=int)
-    x_left, x_right = np.empty((n, 2)), np.empty((n, 2))
-    groups = {}
-    for i, track in enumerate(tracks):
-        groups.setdefault(len(track), []).append(i)
-    for members in groups.values():
-        views = np.stack([tracks[i].view_ids for i in members])
-        xy = np.stack([tracks[i].points for i in members])
-        p, q = _max_theta_pairs(views, xy, rotations)
-        rows = np.arange(len(members))
-        left[members], right[members] = views[rows, p], views[rows, q]
-        x_left[members], x_right[members] = xy[rows, p], xy[rows, q]
-    w = cross_rows(_world_rays(rotations, right, x_right), _world_rays(rotations, left, x_left))
-    return left, right, np.sqrt(np.einsum("ki,ki->k", w, w))
-
-
-def select_bases(tracks, rotations, bases: dict | None = None):
-    """Anchor pairs of every track: entries of ``bases`` are kept, the
-    others are selected from ``rotations`` in one batched pass. Returns
-    (bases, ids of the tracks whose maximal theta is at or below
-    THETA_FLOOR, in input order)."""
-    chosen = dict(bases or {})
-    todo = [t for t in tracks if t.track_id not in chosen]
-    left, right, theta = _anchor_pairs(todo, np.asarray(rotations, dtype=float))
-    degenerate = []
-    for track, *pair in zip(todo, left.tolist(), right.tolist(), theta.tolist()):
-        if pair[2] <= THETA_FLOOR:
-            degenerate.append(track.track_id)
-        else:
-            chosen[track.track_id] = BaseViewPair(*pair)
-    return chosen, degenerate
-
-
-def select_base_views(track: Track, rotations: np.ndarray) -> BaseViewPair:
-    """One track's anchor pair, as :func:`select_bases` picks it; raises
-    AllPairsDegenerate when the track has no parallax."""
-    chosen, degenerate = select_bases([track], rotations)
-    if degenerate:
-        raise AllPairsDegenerate(
-            f"track {track.track_id}: no pair's theta exceeds {THETA_FLOOR!r}"
-        )
-    return chosen[track.track_id]
+def base_pairs(track_ids, left, right, theta) -> dict:
+    """track_id -> BaseViewPair of per-track anchor arrays."""
+    return {
+        tid: BaseViewPair(*pair)
+        for tid, *pair in zip(track_ids.tolist(), left.tolist(), right.tolist(), theta.tolist())
+    }
 
 
 def pose_arrays(poses):
@@ -145,13 +65,12 @@ def pose_arrays(poses):
 
 def flatten_tracks(tracks):
     """Owner index, view and image point of every observation, in order."""
-    lengths = np.fromiter((len(t) for t in tracks), dtype=np.intp, count=len(tracks))
-    owner = np.repeat(np.arange(len(tracks)), lengths)
+    views = [t.view_ids for t in tracks]
+    lengths = np.fromiter(map(len, views), dtype=np.intp, count=len(views))
+    owner = np.repeat(np.arange(len(views)), lengths)
     if not tracks:
         return owner, np.zeros(0, dtype=int), np.zeros((0, 2))
-    views = np.concatenate([t.view_ids for t in tracks])
-    xy = np.concatenate([t.points for t in tracks])
-    return owner, views, xy
+    return owner, np.concatenate(views), np.concatenate([t.points for t in tracks])
 
 
 @dataclass(frozen=True)
@@ -182,34 +101,186 @@ class ObservationTable:
         return self.obs_view[self.rows]
 
 
-def build_table(tracks, bases: dict) -> ObservationTable:
-    """Table of the tracks that have an entry in ``bases`` (track_id ->
-    BaseViewPair), in ascending track-id order."""
-    used = sorted((t for t in tracks if t.track_id in bases), key=lambda t: t.track_id)
-    anchors = [bases[t.track_id] for t in used]
-    n = len(used)
-    obs_track, obs_view, obs_xy = flatten_tracks(used)
+# The max-theta kernel takes tracks in chunks whose K x K theta^2 tables
+# and (K, 6) factors hold at most this many entries together (2 MB of
+# float64): memory stays bounded whatever the track count, and the
+# working set stays in cache.
+_TABLE_ENTRIES = 1 << 18
+
+# _world_rays gathers the rotations of at most this many observations at
+# once (288 KB), never an (N, 3, 3) stack of the whole input.
+_RAY_CHUNK = 1 << 12
+
+
+def _world_rays(rotations, views, xy, index=None) -> np.ndarray:
+    """World-frame rays ``R_v' X`` of the observations ``index`` (all when
+    None) of ``views`` (N,) and image points ``xy`` (N, 2), computed
+    ``_RAY_CHUNK`` at a time."""
+    n = len(views) if index is None else len(index)
+    out = np.empty((n, 3))
+    for s in range(0, n, _RAY_CHUNK):
+        pick = slice(s, s + _RAY_CHUNK) if index is None else index[s:s + _RAY_CHUNK]
+        np.einsum("kji,kj->ki", rotations[views[pick]], homogenize(xy[pick]),
+                  out=out[s:s + _RAY_CHUNK])
+    return out
+
+
+def _max_theta_pairs(rays):
+    """Row-major first (p, q), p < q, of maximal theta^2 per track, for
+    tracks of one length K given by their world-frame rays (T, K, 3).
+
+    theta^2 of every pair is ||g_p x g_q||^2 = v_p . w_q with
+    v = (g0^2, g1^2, g2^2, r g0 g1, r g0 g2, r g1 g2), r = sqrt(2), and
+    w = (|g|^2 - g0^2, |g|^2 - g1^2, |g|^2 - g2^2, -r g0 g1, -r g0 g2,
+    -r g1 g2), so a track's table is one (K, 6) @ (6, K) product, p >= q
+    masked by -inf. Tracks go in chunks whose v, w and tables hold at
+    most ``_TABLE_ENTRIES`` entries together (one track per chunk when
+    one alone exceeds it), written into buffers allocated once.
+    """
+    n, k, _ = rays.shape
+    step = min(n, max(1, _TABLE_ENTRIES // (k * k + 12 * k)))
+    v, w, table = np.empty((step, k, 6)), np.empty((step, k, 6)), np.empty((step, k, k))
+    mask = np.where(np.tri(k, dtype=bool), -np.inf, 0.0)
+    r = np.sqrt(2.0)
+    best = np.empty(n, dtype=np.intp)
+    for s in range(0, n, step):
+        g = rays[s:s + step]
+        c = len(g)
+        vc, wc, tc = v[:c], w[:c], table[:c]
+        np.multiply(g, g, out=vc[..., :3])
+        for col, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=3):
+            np.multiply(g[..., i], r, out=vc[..., col])
+            vc[..., col] *= g[..., j]
+        np.subtract((vc[..., 0] + vc[..., 1] + vc[..., 2])[..., None], vc[..., :3],
+                    out=wc[..., :3])
+        np.negative(vc[..., 3:], out=wc[..., 3:])
+        np.matmul(vc, wc.transpose(0, 2, 1), out=tc)
+        tc += mask
+        best[s:s + c] = tc.reshape(c, -1).argmax(axis=1)
+    return np.divmod(best, k)
+
+
+def _preset_anchors(bases, ids, preset, obs_track, obs_view, track_start):
+    """Positions in their tracks of the anchor-left and anchor-right
+    views, and theta, of the ``preset`` tracks' entries in ``bases``;
+    raises InputError for a pair that is not two of its track's views."""
+    at = np.flatnonzero(preset)
+    pairs = [bases[tid] for tid in ids[at].tolist()]
+    found = []
+    for views in ([b.left for b in pairs], [b.right for b in pairs]):
+        want = np.zeros(len(ids), dtype=int)
+        want[at] = views
+        hit = np.flatnonzero(preset[obs_track] & (obs_view == want[obs_track]))
+        where = np.full(len(ids), -1)
+        where[obs_track[hit]] = hit - track_start[obs_track[hit]]
+        found.append(where[at])
+    bad = np.flatnonzero((found[0] < 0) | (found[1] < 0) | (found[0] == found[1]))
+    if len(bad):
+        k = bad[0]
+        raise InputError(f"track {ids[at[k]]}: anchor pair ({pairs[k].left}, {pairs[k].right}) "
+                         f"is not two of its views")
+    return at, *found, [b.theta for b in pairs]
+
+
+def anchor_table(tracks, rotations=None, bases: dict | None = None):
+    """Observation table of ``tracks`` and the ids of those left out as
+    degenerate, in input order.
+
+    A track keeps its entry in ``bases`` (track_id -> BaseViewPair); the
+    others, flattened once and grouped by length, take the pair of
+    maximal theta of their world-frame rays at ``rotations`` (ties to the
+    lexicographically smallest (p, q)), with theta recomputed from the
+    winner's cross product. A track whose theta is at or below
+    THETA_FLOOR is degenerate. Raises InputError for a view id that
+    indexes no rotation and for a bad entry in ``bases``.
+    """
+    given = np.fromiter((t.track_id for t in tracks), dtype=int, count=len(tracks))
+    order = np.argsort(given, kind="stable")
+    obs_track, obs_view, obs_xy = flatten_tracks([tracks[i] for i in order.tolist()])
+    ids, n = given[order], len(tracks)
     track_start = np.searchsorted(obs_track, np.arange(n + 1))
-    left = np.array([b.left for b in anchors], dtype=int)
-    right = np.array([b.right for b in anchors], dtype=int)
-    left_obs = np.flatnonzero(obs_view == left[obs_track])
-    right_obs = np.flatnonzero(obs_view == right[obs_track])
-    if len(left_obs) != n or len(right_obs) != n:
-        raise KeyError("an anchor view is not among its track's observations")
+    lengths = np.diff(track_start)
+    if rotations is not None:
+        rotations = np.asarray(rotations, dtype=float)
+        if len(obs_view) and not 0 <= obs_view.min() <= obs_view.max() < len(rotations):
+            i = np.argmax((obs_view < 0) | (obs_view >= len(rotations)))
+            raise InputError(f"track {ids[obs_track[i]]}: view {obs_view[i]} is not "
+                             f"among the {len(rotations)} views")
+
+    p, q, theta = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
+    preset = np.zeros(n, dtype=bool)
+    if bases:
+        preset = np.fromiter((tid in bases for tid in ids.tolist()), dtype=bool, count=n)
+        at, *anchors = _preset_anchors(bases, ids, preset, obs_track, obs_view, track_start)
+        p[at], q[at], theta[at] = anchors
+    todo = np.flatnonzero(~preset)
+    for k in np.unique(lengths[todo]).tolist():
+        members = todo[lengths[todo] == k]
+        # A group of every track covers the whole table in order.
+        index = None if len(members) == n else (track_start[members, None] + np.arange(k)).ravel()
+        rays = _world_rays(rotations, obs_view, obs_xy, index).reshape(-1, k, 3)
+        left, right = _max_theta_pairs(rays)
+        p[members], q[members] = left, right
+        each = np.arange(len(members))
+        w = cross_rows(rays[each, right], rays[each, left])
+        theta[members] = np.sqrt(np.einsum("ki,ki->k", w, w))
+
+    keep = preset | (theta > THETA_FLOOR)
+    degenerate = given[np.sort(order[~keep])].tolist()
+    if degenerate:
+        kept_obs = np.repeat(keep, lengths)
+        obs_view, obs_xy = obs_view[kept_obs], obs_xy[kept_obs]
+        ids, lengths, p, q, theta = ids[keep], lengths[keep], p[keep], q[keep], theta[keep]
+        n = len(ids)
+        obs_track = np.repeat(np.arange(n), lengths)
+        track_start = np.concatenate(([0], np.cumsum(lengths)))
+    left_obs, right_obs = track_start[:-1] + p, track_start[:-1] + q
+    row_start = track_start - np.arange(n + 1)
+    is_row = np.ones(len(obs_view), dtype=bool)
+    is_row[left_obs] = False
     return ObservationTable(
-        track_ids=np.array([t.track_id for t in used], dtype=int),
+        track_ids=ids,
         track_start=track_start,
         obs_track=obs_track,
         obs_view=obs_view,
         obs_xy=obs_xy,
-        left=left,
-        right=right,
-        theta=np.array([b.theta for b in anchors], dtype=float),
+        left=obs_view[left_obs],
+        right=obs_view[right_obs],
+        theta=theta,
         left_obs=left_obs,
-        rows=np.flatnonzero(obs_view != left[obs_track]),
-        row_start=track_start - np.arange(n + 1),
-        right_row=right_obs - np.arange(n) - (right_obs > left_obs),
-    )
+        rows=np.flatnonzero(is_row),
+        row_start=row_start,
+        right_row=row_start[:-1] + q - (q > p),
+    ), degenerate
+
+
+def build_table(tracks, bases: dict) -> ObservationTable:
+    """Table of the tracks that have an entry in ``bases`` (track_id ->
+    BaseViewPair), in ascending track-id order: :func:`anchor_table` with
+    every anchor given."""
+    return anchor_table([t for t in tracks if t.track_id in bases], bases=bases)[0]
+
+
+def select_bases(tracks, rotations, bases: dict | None = None):
+    """Anchor pairs of every track: entries of ``bases`` are kept, the
+    others are those :func:`anchor_table` selects from ``rotations``.
+    Returns (bases, ids of the tracks whose maximal theta is at or below
+    THETA_FLOOR, in input order)."""
+    chosen = dict(bases or {})
+    table, degenerate = anchor_table([t for t in tracks if t.track_id not in chosen], rotations)
+    chosen.update(base_pairs(table.track_ids, table.left, table.right, table.theta))
+    return chosen, degenerate
+
+
+def select_base_views(track: Track, rotations: np.ndarray) -> BaseViewPair:
+    """One track's anchor pair, as :func:`anchor_table` picks it; raises
+    AllPairsDegenerate when the track has no parallax."""
+    chosen, degenerate = select_bases([track], rotations)
+    if degenerate:
+        raise AllPairsDegenerate(
+            f"track {track.track_id}: no pair's theta exceeds {THETA_FLOOR!r}"
+        )
+    return chosen[track.track_id]
 
 
 def split_table(table: ObservationTable, max_rows: int) -> list:
@@ -278,8 +349,8 @@ def anchored_terms(table: ObservationTable, rotations, centers=None) -> AnchorTe
     ``T`` and ``depth`` need the camera centers and stay None without
     them."""
     row_track = table.row_track
-    x = _world_rays(rotations, table.row_view, table.obs_xy[table.rows])
-    g = _world_rays(rotations, table.left, table.obs_xy[table.left_obs])
+    x = _world_rays(rotations, table.obs_view, table.obs_xy, table.rows)
+    g = _world_rays(rotations, table.obs_view, table.obs_xy, table.left_obs)
     W = cross_rows(x, g[row_track])
     v, w = x[table.right_row], W[table.right_row]
     a = v * _dot_rows(g, v)[:, None] - g * _dot_rows(v, v)[:, None]

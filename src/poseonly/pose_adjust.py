@@ -34,11 +34,11 @@ from scipy.spatial.transform import Rotation
 from .errors import ConfigInvalid, DegenerateBase, DivergedNumerically, InsufficientParallax
 from .geometry import CameraPose, cross_rows, skew_batch
 from .observations import (
+    anchor_table,
     anchored_terms,
     build_table,
     flatten_tracks,
     pose_arrays,
-    select_bases,
     split_table,
 )
 
@@ -50,7 +50,8 @@ _LM_DOWN = 10.0
 
 # The residual pass and the normal equations go over runs of whole tracks
 # of at most this many table rows (a longer track is a run of its own),
-# so their per-row working set stays bounded at any observation count.
+# and the reprojection check over chunks of as many observations, so
+# their per-row working set stays bounded at any observation count.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -380,14 +381,15 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     Rs, Cs = pose_arrays(initial_poses)
     n_views = len(initial_poses)
 
-    bases, degenerate = select_bases(tracks, Rs)
-    if not bases:
+    table, degenerate = anchor_table(tracks, Rs)
+    if not len(table.track_ids):
         raise InsufficientParallax(
             f"none of {len(tracks)} track(s) carries parallax; nothing to refine"
         )
-    runs = split_table(build_table(tracks, bases), _CHUNK_ROWS)
+    runs = split_table(table, _CHUNK_ROWS)
 
-    used = [t for t in tracks if t.track_id in bases]
+    dead = set(degenerate)
+    used = [t for t in tracks if t.track_id not in dead]
     anchor_view = select_anchor_view(used, n_views, reference_view, Cs)
     radius = float(np.linalg.norm(Cs[anchor_view])) if anchor_view is not None else None
     param = PoseParameterization(
@@ -470,8 +472,10 @@ def reprojection_stats(poses, points_w, tracks):
         return float("inf"), 0, 0
     owner, V, O = flatten_tracks(scored)
     points = np.stack([np.asarray(points_w[t.track_id], dtype=float) for t in scored])
-    P = points[owner]
-    cam = np.einsum("nij,nj->ni", Rs[V], P - Cs[V])
+    cam = np.empty((len(V), 3))
+    for s in range(0, len(V), _CHUNK_ROWS):  # no (N, 3, 3) gather of the whole input
+        c = slice(s, s + _CHUNK_ROWS)
+        np.einsum("nij,nj->ni", Rs[V[c]], points[owner[c]] - Cs[V[c]], out=cam[c])
     z = cam[:, 2]
     ok = z > 0
     violations = int((~ok).sum())

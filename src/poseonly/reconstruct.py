@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import AllPairsDegenerate, DegenerateTriangulation, NegativeDepth
 from .geometry import Track, cross_rows, homogenize, skew
-from .observations import (
-    BaseViewPair,
-    anchored_terms,
-    build_table,
-    pose_arrays,
-    select_bases,
-)
+from .observations import BaseViewPair, anchor_table, anchored_terms, build_table, pose_arrays
 
 _REASON_SHORT = "below_min_track_len"
 _REASON_DEGENERATE = "all_pairs_degenerate"
@@ -118,10 +112,8 @@ def reconstruct_all(
     R, C = pose_arrays(poses)
     long_tracks = [t for t in tracks if len(t) >= min_track_len]
     rejected = [(t.track_id, _REASON_SHORT) for t in tracks if len(t) < min_track_len]
-    bases, degenerate = select_bases(long_tracks, R, bases)
+    table, degenerate = anchor_table(long_tracks, R, bases)
     rejected += [(tid, _REASON_DEGENERATE) for tid in degenerate]
-
-    table = build_table(long_tracks, bases)
     fused, weight_sum, contributing, positions = _fuse(table, R, C)
     flat = contributing == 0
     behind = ~flat & (fused <= 0)

@@ -36,10 +36,10 @@ from .errors import InsufficientParallax, RankDeficient
 from .geometry import cross_rows, skew_batch
 from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-exported
     BaseViewPair,
+    anchor_table,
     anchored_terms,
-    build_table,
+    base_pairs,
     select_base_views,
-    select_bases,
 )
 
 _MATRIX_CHUNK = 1 << 13  # rows scattered at once by _block_gram
@@ -91,11 +91,16 @@ class TranslationSystem:
     row_track: np.ndarray  # (m,) index of each block's track into the probes
     x: np.ndarray  # (m, 3) world-frame ray of each block's observation
     W: np.ndarray  # (m, 3) x x g, g the track's anchor-left ray
-    bases: dict  # track_id -> BaseViewPair of every track with rows
+    track_ids: np.ndarray  # (k,) ascending ids of the tracks with rows
     probe_views: np.ndarray  # (k, 2) anchor (left, right) of those tracks
     probe_a: np.ndarray  # (k, 3) their world-frame anchor vectors a
     theta_sq: np.ndarray  # (k,) their anchor theta^2
     rotations: np.ndarray
+
+    @property
+    def bases(self) -> dict:
+        """track_id -> BaseViewPair of every track with rows."""
+        return base_pairs(self.track_ids, *self.probe_views.T, np.sqrt(self.theta_sq))
 
     def _blocks(self, rows=slice(None)):
         """B and C, (k, 3, 3) each, of the blocks ``rows``."""
@@ -150,9 +155,10 @@ class TranslationSystem:
 def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) -> TranslationSystem:
     """Assemble the homogeneous system over stacked camera centers.
 
-    Anchors come from one batched selection and every track's rows from
-    one pass of the anchored-depth kernel over the observation table
-    (:mod:`poseonly.observations`), all in the world frame:
+    The selection pass builds the observation table with every track's
+    anchors, and every track's rows come from one pass of the
+    anchored-depth kernel over it (:mod:`poseonly.observations`), all in
+    the world frame:
     ``B = (x_i x g) a'`` and ``C = theta^2 [x_i]x``.
 
     Tracks whose every pair is parallax-free are dropped; at least two
@@ -166,12 +172,11 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
     if not 0 <= reference_view < n_views:
         raise ValueError(f"reference view {reference_view} out of range")
 
-    bases, _ = select_bases(tracks, rotations)
-    if len(bases) < 2:
+    table, _ = anchor_table(tracks, rotations)
+    if len(table.track_ids) < 2:
         raise InsufficientParallax(
-            f"only {len(bases)} track(s) carry parallax; need at least 2"
+            f"only {len(table.track_ids)} track(s) carry parallax; need at least 2"
         )
-    table = build_table(tracks, bases)
     terms = anchored_terms(table, rotations)
     row_track = table.row_track
     return TranslationSystem(
@@ -183,7 +188,7 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
         row_track=row_track,
         x=terms.x,
         W=terms.W,
-        bases={tid: bases[tid] for tid in table.track_ids.tolist()},
+        track_ids=table.track_ids,
         probe_views=np.stack((table.left, table.right), axis=1),
         probe_a=terms.a,
         theta_sq=terms.theta_sq,

@@ -63,11 +63,11 @@ def solve_problem_centers(problem):
     return po.solve_translations(system).translations
 
 
-def gram_identity_pairs(views, xy, rotations):
+def gram_identity_pairs(g):
     """Reference for ``observations._max_theta_pairs``: the row-major first
-    (p, q), p < q, of maximal theta^2 per track, one track at a time, with
-    theta^2 from |g_p|^2 |g_q|^2 - (g_p . g_q)^2 clamped at 0."""
-    g = np.einsum("tkji,tkj->tki", rotations[views], po.homogenize(xy))
+    (p, q), p < q, of maximal theta^2 per track of world-frame rays
+    ``g`` (T, K, 3), one track at a time, with theta^2 from
+    |g_p|^2 |g_q|^2 - (g_p . g_q)^2 clamped at 0."""
     p, q = np.empty(len(g), dtype=np.intp), np.empty(len(g), dtype=np.intp)
     for t, rays in enumerate(g):
         sq = np.einsum("ki,ki->k", rays, rays)

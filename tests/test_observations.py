@@ -1,13 +1,20 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import poseonly as po
 from poseonly import observations
-from poseonly.errors import AllPairsDegenerate
+from poseonly.errors import AllPairsDegenerate, InputError
 from poseonly.geometry import THETA_FLOOR, rotation_about
-from poseonly.observations import anchored_terms, build_table, select_bases, split_table
+from poseonly.observations import (
+    anchor_table,
+    anchored_terms,
+    build_table,
+    select_bases,
+    split_table,
+)
 
 from conftest import gram_identity_pairs, make_rng
 
@@ -48,8 +55,14 @@ class TestTable:
 
     def test_missing_anchor_view_rejected(self):
         track = po.Track(0, [0, 1], [[0.1, 0.2], [0.2, 0.1]])
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError, match=r"track 0: anchor pair \(0, 2\) is not two of"):
             build_table([track], {0: po.BaseViewPair(0, 2, 0.1)})
+
+    def test_anchor_pair_of_one_view_rejected(self):
+        # Before, the pair (1, 1) silently became the pair (1, 2).
+        track = po.Track(4, [0, 1, 2], [[0.1, 0.2], [0.2, 0.1], [0.3, 0.0]])
+        with pytest.raises(InputError, match=r"track 4: anchor pair \(1, 1\) is not two of"):
+            build_table([track], {4: po.BaseViewPair(1, 1, 1.0)})
 
     @pytest.mark.parametrize("max_rows", [1, 6, 23, 1 << 40])
     def test_split_rebuilds_the_table(self, max_rows):
@@ -215,6 +228,83 @@ class TestBatchedSelection:
             assert base.theta == pytest.approx(theta, rel=1e-12)
             assert observations.select_base_views(track, rotations) == base
 
+    @staticmethod
+    def loop_table(tracks, rotations):
+        """The anchored table and the degenerate ids as the batched
+        selection has always computed them, one track at a time: world
+        rays g = R_v' X, theta^2 tables v_p . w_q (see
+        ``_max_theta_pairs``), the row-major first maximum, theta from the
+        winner's cross product, kept tracks in id order."""
+        anchored, degenerate = [], []
+        for track in tracks:
+            g = np.einsum("kji,kj->ki", rotations[track.view_ids], po.homogenize(track.points))
+            sq = g * g
+            mixed = np.sqrt(2.0) * g[:, [0, 0, 1]] * g[:, [1, 2, 2]]
+            v = np.concatenate((sq, mixed), axis=1)
+            w = np.concatenate((sq.sum(axis=1)[:, None] - sq, -mixed), axis=1)
+            table = v @ w.T
+            table[np.tri(len(g), dtype=bool)] = -np.inf
+            p, q = np.divmod(int(table.argmax()), len(g))
+            cross = np.cross(g[q], g[p])[None]
+            theta = float(np.sqrt(np.einsum("ki,ki->k", cross, cross))[0])
+            if theta <= THETA_FLOOR:
+                degenerate.append(track.track_id)
+            else:
+                anchored.append((track.track_id, track, p, q, theta))
+        anchored.sort(key=lambda entry: entry[0])
+        fields = {name: [] for name in ("obs_track", "left", "right", "theta", "left_obs",
+                                        "rows", "right_row")}
+        obs, rows = [0], [0]
+        for k, (_, track, p, q, theta) in enumerate(anchored):
+            start, length = obs[-1], len(track)
+            fields["obs_track"] += [k] * length
+            fields["left"].append(track.view_ids[p])
+            fields["right"].append(track.view_ids[q])
+            fields["theta"].append(theta)
+            fields["left_obs"].append(start + p)
+            fields["rows"] += [start + i for i in range(length) if i != p]
+            fields["right_row"].append(rows[-1] + q - (q > p))
+            obs.append(start + length)
+            rows.append(rows[-1] + length - 1)
+        used = [entry[1] for entry in anchored]
+        return dict(
+            fields,
+            track_ids=[entry[0] for entry in anchored],
+            track_start=obs,
+            row_start=rows,
+            obs_view=np.concatenate([t.view_ids for t in used]),
+            obs_xy=np.concatenate([t.points for t in used]),
+        ), degenerate
+
+    @pytest.mark.parametrize("budget", [None, 64])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_table_matches_track_by_track_selection(self, budget, shuffle, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(observations, "_TABLE_ENTRIES", budget)
+        rotations, tracks = self.selection_case()
+        if shuffle:
+            tracks = [tracks[k] for k in make_rng(8).permutation(len(tracks))]
+        table, degenerate = anchor_table(tracks, rotations)
+        expected, expected_degenerate = self.loop_table(tracks, rotations)
+        assert degenerate == expected_degenerate
+        for name, value in expected.items():
+            assert np.array_equal(getattr(table, name), value), name
+
+    def test_transient_memory_bounded(self):
+        # What the pass allocates and frees again stays under 64 B per
+        # observation at 80,000 observations: no (N, 3, 3) rotation
+        # stack (72 B) and no per-group copies of the input.
+        prob = po.generate_scene(po.SceneConfig(n_views=20, n_points=4000, seed=5))
+        observed = sum(len(t) for t in prob.tracks)
+        tracemalloc.start()
+        try:
+            held = anchor_table(prob.tracks, prob.rotations)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del held
+        assert (peak - current) / observed <= 64, (peak - current) / observed
+
     @pytest.mark.parametrize("length", range(2, 13))
     def test_matches_gram_identity(self, length):
         # theta^2 tables as one (K, 6) @ (6, K) product pick what the Gram
@@ -226,6 +316,51 @@ class TestBatchedSelection:
         )
         views = np.stack([np.sort(rng.choice(15, size=length, replace=False)) for _ in range(200)])
         xy = rng.uniform(-0.5, 0.5, (200, length, 2))
-        picks = observations._max_theta_pairs(views, xy, rotations)
-        expected = gram_identity_pairs(views, xy, rotations)
+        rays = np.einsum("tkji,tkj->tki", rotations[views], po.homogenize(xy))
+        picks = observations._max_theta_pairs(rays)
+        expected = gram_identity_pairs(rays)
         assert np.array_equal(picks, expected)
+
+
+class TestInputChecks:
+    """Bad view ids and bad explicit anchors end in a named InputError."""
+
+    @staticmethod
+    def stray_scene(views):
+        prob = noisy_scene(9)
+        return prob, list(prob.tracks) + [po.Track(998, views, [[0.1, 0.2], [0.2, 0.1]])]
+
+    ENTRIES = {
+        "assemble_system": lambda prob, tracks: po.assemble_system(tracks, prob.rotations, 0),
+        "pa_optimize": lambda prob, tracks: po.pa_optimize(prob.gt_poses, tracks),
+        "reconstruct_all": lambda prob, tracks: po.reconstruct_all(tracks, prob.gt_poses),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("views, bad", [([-1, 0], -1), ([0, 6], 6)])
+    def test_view_out_of_range_rejected(self, entry, views, bad):
+        # A negative id used to wrap to the last view, and one past the
+        # last to raise a bare IndexError.
+        prob, tracks = self.stray_scene(views)
+        with pytest.raises(InputError, match=f"track 998: view {bad} "):
+            self.ENTRIES[entry](prob, tracks)
+
+    ANCHORED = {
+        "reconstruct_all": lambda prob, tracks, bases: po.reconstruct_all(
+            tracks, prob.gt_poses, bases=bases),
+        "pa_residuals": lambda prob, tracks, bases: po.pa_residuals(
+            prob.gt_poses, tracks, bases),
+        "pa_jacobian": lambda prob, tracks, bases: po.pa_jacobian(
+            prob.gt_poses, tracks, bases, po.PoseParameterization(prob.n_views, 0)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ANCHORED))
+    @pytest.mark.parametrize("base", [po.BaseViewPair(0, 4, 0.5), po.BaseViewPair(1, 1, 1.0)])
+    def test_explicit_anchor_checked(self, entry, base):
+        prob = noisy_scene(9)
+        first = prob.tracks[0]
+        tracks = [po.Track(first.track_id, first.view_ids[:3], first.points[:3])]
+        tracks += prob.tracks[1:]
+        message = rf"track {first.track_id}: anchor pair \({base.left}, {base.right}\) is not"
+        with pytest.raises(InputError, match=message):
+            self.ANCHORED[entry](prob, tracks, {first.track_id: base})

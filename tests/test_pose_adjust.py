@@ -9,6 +9,7 @@ from poseonly.errors import (
     ConfigInvalid,
     DegenerateBase,
     DivergedNumerically,
+    InputError,
     InsufficientParallax,
 )
 from poseonly.geometry import rotation_about
@@ -534,7 +535,7 @@ class TestOptimize:
         # not a degenerate track to drop silently.
         prob = po.generate_scene(po.SceneConfig(n_views=4, n_points=6, seed=28))
         stray = po.Track(99, [0, 7], [[0.1, 0.2], [0.2, 0.1]])
-        with pytest.raises(IndexError):
+        with pytest.raises(InputError, match="track 99: view 7"):
             po.pa_optimize(prob.gt_poses, list(prob.tracks) + [stray], reference_view=0)
 
     @pytest.mark.parametrize("reference_view", [7, -1])

@@ -1,6 +1,6 @@
 """Property-based tests: file round-trips, CLI robustness under
-single-token corruption of a valid problem or pose file, and the block
-Gram of small random scenes."""
+single-token corruption of a valid problem or pose file, the block Gram
+of small random scenes, and the anchor pass's invariances."""
 
 import contextlib
 import io
@@ -13,6 +13,7 @@ import pytest
 import poseonly as po
 from poseonly.cli import run_cli
 from poseonly.errors import DivergedNumerically, InsufficientParallax
+from poseonly.observations import anchor_table, base_pairs
 from poseonly.problem_io import quat_to_rotation
 from poseonly.simulate import MOTIONS
 
@@ -189,3 +190,35 @@ def test_block_gram_matches_csr_gram(motion, n_views, n_points, seed, sigma, dat
     except InsufficientParallax:
         hypothesis.assume(False)
     assert_block_gram_matches(system)
+
+
+@settings(max_examples=40)
+@given(
+    motion=st.sampled_from(MOTIONS),
+    n_views=st.integers(3, 7),
+    n_points=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_anchor_table_ignores_track_order_and_chosen_presets(motion, n_views, n_points, seed,
+                                                             data):
+    # Partial tracks of every length; permuting them, or giving some of
+    # the anchors the pass would choose, leaves the table as it was.
+    prob = po.generate_scene(po.SceneConfig(
+        n_views=n_views, n_points=n_points, motion=motion, seed=seed, obs_noise_sigma=1e-3
+    ))
+    tracks = []
+    for track in prob.tracks:
+        keep = sorted(data.draw(st.sets(st.integers(0, len(track) - 1), min_size=2)))
+        tracks.append(po.Track(track.track_id, track.view_ids[keep], track.points[keep]))
+    table, degenerate = anchor_table(tracks, prob.rotations)
+    shuffled = data.draw(st.permutations(tracks))
+    chosen = base_pairs(table.track_ids, table.left, table.right, table.theta)
+    preset = data.draw(st.sets(st.sampled_from(sorted(chosen)))) if chosen else set()
+    again, again_degenerate = anchor_table(
+        shuffled, prob.rotations, {tid: chosen[tid] for tid in preset}
+    )
+    assert again_degenerate == [t.track_id for t in shuffled if t.track_id in set(degenerate)]
+    for name in ("track_ids", "track_start", "obs_track", "obs_view", "obs_xy", "left", "right",
+                 "theta", "left_obs", "rows", "row_start", "right_row"):
+        assert np.array_equal(getattr(again, name), getattr(table, name)), name
