@@ -35,6 +35,8 @@ from .errors import DegeneratePair, NonPositiveDepth
 # theta at O(1) scale, so anything at 1e-12 is rounding noise, not parallax.
 THETA_FLOOR = 1e-12
 
+ROTATION_TOL = 1e-9  # bound on a rotation's ||R'R - I|| and |det R - 1|
+
 # Depth at or below this counts as "behind the camera" for projection.
 MIN_PROJECTION_DEPTH = 1e-12
 
@@ -100,16 +102,16 @@ def rotation_geodesic_deg(R_a: np.ndarray, R_b: np.ndarray) -> float:
     return float(np.degrees(np.arctan2(sine, (np.trace(D) - 1.0) / 2.0)))
 
 
-def check_rotation(R: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_rotation(R: np.ndarray) -> np.ndarray:
     """Validate a rotation matrix; returns it as a float64 array."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {R.shape}")
     ortho = np.linalg.norm(R.T @ R - np.eye(3))
-    if ortho >= tol:
+    if ortho >= ROTATION_TOL:
         raise ValueError(f"matrix is not orthonormal (||R'R - I|| = {ortho:.3e})")
     det = np.linalg.det(R)
-    if abs(det - 1.0) >= tol:
+    if abs(det - 1.0) >= ROTATION_TOL:
         raise ValueError(f"matrix is not a proper rotation (det = {det!r})")
     return R
 

@@ -22,11 +22,12 @@ projection) and its normal-equation build over the runs of
 oracle takes the whole table as one run.
 
 This module alone holds the anchor policy. The selection pass
-(:func:`anchor_table`) builds the table: it flattens the tracks once and
-writes each track's anchor pair, its observation pair of maximal theta,
-straight into the table's arrays; :func:`build_table` (anchors given),
-:func:`select_bases` and :func:`select_base_views` (anchors as
-``BaseViewPair`` objects) are that pass too. theta at or below
+(:func:`anchor_table`) builds the table: it flattens the tracks once,
+checks their view ids against the rotations and writes each track's
+anchor pair, its observation pair of maximal theta, straight into the
+table's arrays; :func:`build_table` (anchors given) and
+:func:`select_base_views` (one track's anchors) are that pass too, so
+every entry point's anchors are checked there. theta at or below
 ``THETA_FLOOR`` is no parallax: such a track is degenerate at selection,
 a refined pose set that collapses its anchor pair drops it
 (:attr:`AnchorTerms.collapsed`), and such a pair adds nothing to a fused
@@ -182,7 +183,7 @@ def _preset_anchors(bases, ids, preset, obs_track, obs_view, track_start):
     return at, *found, [b.theta for b in pairs]
 
 
-def anchor_table(tracks, rotations=None, bases: dict | None = None):
+def anchor_table(tracks, rotations, bases: dict | None = None):
     """Observation table of ``tracks`` and the ids of those left out as
     degenerate, in input order.
 
@@ -200,12 +201,11 @@ def anchor_table(tracks, rotations=None, bases: dict | None = None):
     ids, n = given[order], len(tracks)
     track_start = np.searchsorted(obs_track, np.arange(n + 1))
     lengths = np.diff(track_start)
-    if rotations is not None:
-        rotations = np.asarray(rotations, dtype=float)
-        if len(obs_view) and not 0 <= obs_view.min() <= obs_view.max() < len(rotations):
-            i = np.argmax((obs_view < 0) | (obs_view >= len(rotations)))
-            raise InputError(f"track {ids[obs_track[i]]}: view {obs_view[i]} is not "
-                             f"among the {len(rotations)} views")
+    rotations = np.asarray(rotations, dtype=float)
+    if len(obs_view) and not 0 <= obs_view.min() <= obs_view.max() < len(rotations):
+        i = np.argmax((obs_view < 0) | (obs_view >= len(rotations)))
+        raise InputError(f"track {ids[obs_track[i]]}: view {obs_view[i]} is not "
+                         f"among the {len(rotations)} views")
 
     p, q, theta = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
     preset = np.zeros(n, dtype=bool)
@@ -254,33 +254,22 @@ def anchor_table(tracks, rotations=None, bases: dict | None = None):
     ), degenerate
 
 
-def build_table(tracks, bases: dict) -> ObservationTable:
+def build_table(tracks, bases: dict, rotations) -> ObservationTable:
     """Table of the tracks that have an entry in ``bases`` (track_id ->
     BaseViewPair), in ascending track-id order: :func:`anchor_table` with
     every anchor given."""
-    return anchor_table([t for t in tracks if t.track_id in bases], bases=bases)[0]
-
-
-def select_bases(tracks, rotations, bases: dict | None = None):
-    """Anchor pairs of every track: entries of ``bases`` are kept, the
-    others are those :func:`anchor_table` selects from ``rotations``.
-    Returns (bases, ids of the tracks whose maximal theta is at or below
-    THETA_FLOOR, in input order)."""
-    chosen = dict(bases or {})
-    table, degenerate = anchor_table([t for t in tracks if t.track_id not in chosen], rotations)
-    chosen.update(base_pairs(table.track_ids, table.left, table.right, table.theta))
-    return chosen, degenerate
+    return anchor_table([t for t in tracks if t.track_id in bases], rotations, bases)[0]
 
 
 def select_base_views(track: Track, rotations: np.ndarray) -> BaseViewPair:
     """One track's anchor pair, as :func:`anchor_table` picks it; raises
     AllPairsDegenerate when the track has no parallax."""
-    chosen, degenerate = select_bases([track], rotations)
+    table, degenerate = anchor_table([track], rotations)
     if degenerate:
         raise AllPairsDegenerate(
             f"track {track.track_id}: no pair's theta exceeds {THETA_FLOOR!r}"
         )
-    return chosen[track.track_id]
+    return base_pairs(table.track_ids, table.left, table.right, table.theta)[track.track_id]
 
 
 def split_table(table: ObservationTable, max_rows: int) -> list:

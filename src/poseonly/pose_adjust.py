@@ -230,7 +230,7 @@ def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
     if on_degenerate not in ("raise", "drop"):
         raise ValueError(f"on_degenerate must be 'raise' or 'drop', not {on_degenerate!r}")
     Rs, Cs = pose_arrays(poses)
-    return _residuals([build_table(tracks, bases)], Rs, Cs, on_degenerate)[:2]
+    return _residuals([build_table(tracks, bases, Rs)], Rs, Cs, on_degenerate)[:2]
 
 
 def _factors(table, Rs, terms):
@@ -302,7 +302,7 @@ def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) ->
     are checked against.
     """
     Rs, Cs = pose_arrays(poses)
-    table = build_table(tracks, bases)
+    table = build_table(tracks, bases, Rs)
     Jc, Jp, D = _factors(table, Rs, anchored_terms(table, Rs, Cs))
     return (Jc + Jp @ D).tocsr() @ parameterization.matrix(Cs)
 

@@ -83,7 +83,7 @@ def reconstruct_point(track: Track, base: BaseViewPair, poses) -> ReconstructedP
     and pairs nearing pure rotation fade out smoothly.
     """
     R, C = pose_arrays(poses)
-    table = build_table([track], {track.track_id: base})
+    table = build_table([track], {track.track_id: base}, R)
     (fused,), (weight_sum,), (contributing,), (position,) = _fuse(table, R, C)
     if contributing == 0:
         raise AllPairsDegenerate(f"track {track.track_id}: no pair carries parallax")

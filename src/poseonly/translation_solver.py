@@ -19,12 +19,12 @@ zero) is the global translation, up to sign and scale. The formulation
 needs no relative translations, which is what keeps it well-posed under
 collinear motion and under views that only rotate in place.
 
-The system stores the blocks' terms, not the blocks. The null vector and
-the spectrum come from them without building the tall reduced matrix:
-from an eigensolve of its Gram matrix (:func:`_block_gram`), accumulated
-a chunk of blocks at a time, whatever the system's size
-(:func:`_spectrum`). The rank test floors singular values at that
-eigensolve's resolution, sqrt(cols * eps) of the largest.
+The system keeps the observation table and the kernel's terms over it,
+not the blocks. The null vector and the spectrum come from them without
+building the tall reduced matrix: from an eigensolve of its Gram matrix
+(:func:`_block_gram`), accumulated a chunk of blocks at a time, whatever
+the system's size (:func:`_spectrum`). The rank test floors singular
+values at that eigensolve's resolution, sqrt(cols * eps) of the largest.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,9 @@ import scipy.sparse as sp
 from .errors import InsufficientParallax, RankDeficient
 from .geometry import cross_rows, skew_batch
 from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-exported
+    AnchorTerms,
     BaseViewPair,
+    ObservationTable,
     anchor_table,
     anchored_terms,
     base_pairs,
@@ -74,39 +76,38 @@ class TranslationSystem:
 
     Block k holds 3 rows touching the anchor-right view (``B[k]``), the
     observing view (``C[k]``) and the anchor-left view (``D = -(B + C)``),
-    in (track_id, row_view) order; ``B = W a'`` and ``C = theta^2 [x]x``
-    are built from the stored terms on demand. When the observing ray is
-    parallel to the anchor-left ray, B vanishes but C does not (C carries
-    the anchor pair's theta^2, not the row's own parallax); the surviving
-    C (t_i - t_left) = 0 content is what pins a camera that only rotates
-    in place to its co-located partner. The reference view's columns are
+    one block per row of ``table``, in its (track_id, row_view) order;
+    ``B = W a'`` and ``C = theta^2 [x]x`` are built from ``terms`` on
+    demand. When the observing ray is parallel to the anchor-left ray, B
+    vanishes but C does not (C carries the anchor pair's theta^2, not the
+    row's own parallax); the surviving C (t_i - t_left) = 0 content is
+    what pins a camera that only rotates in place to its co-located
+    partner. The reference view's columns are
     dropped from the reduced matrix, which fixes the translation gauge.
     """
 
     n_views: int
     reference_view: int
-    row_views: np.ndarray  # (m,) observing view of each block
-    lefts: np.ndarray  # (m,) anchor-left view of each block
-    rights: np.ndarray  # (m,) anchor-right view of each block
-    row_track: np.ndarray  # (m,) index of each block's track into the probes
-    x: np.ndarray  # (m, 3) world-frame ray of each block's observation
-    W: np.ndarray  # (m, 3) x x g, g the track's anchor-left ray
-    track_ids: np.ndarray  # (k,) ascending ids of the tracks with rows
-    probe_views: np.ndarray  # (k, 2) anchor (left, right) of those tracks
-    probe_a: np.ndarray  # (k, 3) their world-frame anchor vectors a
-    theta_sq: np.ndarray  # (k,) their anchor theta^2
     rotations: np.ndarray
+    table: ObservationTable  # anchor_table's, of the tracks with parallax
+    terms: AnchorTerms  # anchored_terms(table, rotations)
+
+    # Per block: its observing, anchor-left and anchor-right view.
+    row_views = property(lambda self: self.table.row_view)
+    lefts = property(lambda self: self.table.left[self.table.row_track])
+    rights = property(lambda self: self.table.right[self.table.row_track])
 
     @property
     def bases(self) -> dict:
         """track_id -> BaseViewPair of every track with rows."""
-        return base_pairs(self.track_ids, *self.probe_views.T, np.sqrt(self.theta_sq))
+        table = self.table
+        return base_pairs(table.track_ids, table.left, table.right, np.sqrt(self.terms.theta_sq))
 
-    def _blocks(self, rows=slice(None)):
-        """B and C, (k, 3, 3) each, of the blocks ``rows``."""
-        track = self.row_track[rows]
-        B = self.W[rows, :, None] * self.probe_a[track][:, None, :]
-        return B, self.theta_sq[track][:, None, None] * skew_batch(self.x[rows])
+    def _blocks(self):
+        """B and C, (m, 3, 3) each."""
+        track, terms = self.table.row_track, self.terms
+        B = terms.W[:, :, None] * terms.a[track][:, None, :]
+        return B, terms.theta_sq[track][:, None, None] * skew_batch(terms.x)
 
     B = property(lambda self: self._blocks()[0], doc="(m, 3, 3) blocks, built per access")
     C = property(lambda self: self._blocks()[1], doc="(m, 3, 3) blocks, built per access")
@@ -116,8 +117,8 @@ class TranslationSystem:
         """(left, right, a_vec) per track, ``a_vec`` in the anchor-right
         view's frame: the anchored depth has the sign of
         ``a_vec . R_right (t_left - t_right)``."""
-        a_right = self.rotations[self.probe_views[:, 1]] @ self.probe_a[:, :, None]
-        return list(zip(*self.probe_views.T.tolist(), a_right[:, :, 0]))
+        a_right = self.rotations[self.table.right] @ self.terms.a[:, :, None]
+        return list(zip(self.table.left.tolist(), self.table.right.tolist(), a_right[:, :, 0]))
 
     @property
     def free_columns(self) -> np.ndarray:
@@ -177,23 +178,8 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
         raise InsufficientParallax(
             f"only {len(table.track_ids)} track(s) carry parallax; need at least 2"
         )
-    terms = anchored_terms(table, rotations)
-    row_track = table.row_track
-    return TranslationSystem(
-        n_views=n_views,
-        reference_view=reference_view,
-        row_views=table.row_view,
-        lefts=table.left[row_track],
-        rights=table.right[row_track],
-        row_track=row_track,
-        x=terms.x,
-        W=terms.W,
-        track_ids=table.track_ids,
-        probe_views=np.stack((table.left, table.right), axis=1),
-        probe_a=terms.a,
-        theta_sq=terms.theta_sq,
-        rotations=rotations,
-    )
+    return TranslationSystem(n_views, reference_view, rotations, table,
+                             anchored_terms(table, rotations))
 
 
 def _block_gram(system: TranslationSystem) -> np.ndarray:
@@ -213,20 +199,22 @@ def _block_gram(system: TranslationSystem) -> np.ndarray:
     plus its transpose. The three terms keyed by (right, left) alone are
     first summed over each run of rows of one track.
     """
-    n = system.n_views
+    n, table, terms = system.n_views, system.table, system.terms
+    # Both are gathers on every access: read once, not per chunk.
+    row_track, row_view = table.row_track, table.row_view
     half = np.zeros((9, n * n))
-    for lo in range(0, len(system.x), _MATRIX_CHUNK):
-        rows = slice(lo, min(lo + _MATRIX_CHUNK, len(system.x)))
-        track = system.row_track[rows]
+    for lo in range(0, len(row_track), _MATRIX_CHUNK):
+        rows = slice(lo, lo + _MATRIX_CHUNK)
+        track = row_track[rows]
         starts = np.flatnonzero(np.concatenate(([True], track[1:] != track[:-1])))
-        theta_sq, a = system.theta_sq[track], system.probe_a[track]
-        x, W = system.x[rows], system.W[rows]
+        theta_sq, a = terms.theta_sq[track], terms.a[track]
+        x, W = terms.x[rows], terms.W[rows]
         u = theta_sq[:, None] * cross_rows(W, x)
         theta_4, x_sq = theta_sq * theta_sq, np.einsum("ki,ki->k", x, x)
         W_sq_k = np.add.reduceat(np.einsum("ki,ki->k", W, W), starts)
         a_k, u_k = a[starts].T.copy(), np.add.reduceat(u, starts).T.copy()
         a, u, x = a.T.copy(), u.T.copy(), x.T.copy()
-        right, row, left = system.rights[rows], system.row_views[rows], system.lefts[rows]
+        right, row, left = table.right[track], row_view[rows], table.left[track]
         r, l = right[starts], left[starts]
         keys = np.concatenate(
             (r * n + r, r * n + l, l * n + l, right * n + row, row * n + row, row * n + left)
@@ -286,8 +274,8 @@ def disambiguate_sign(translations: np.ndarray, system: TranslationSystem):
     """
 
     def count(t):
-        left, right = system.probe_views.T
-        s = np.einsum("ki,ki->k", system.probe_a, t[left] - t[right])
+        left, right = system.table.left, system.table.right
+        s = np.einsum("ki,ki->k", system.terms.a, t[left] - t[right])
         return int((s > 0).sum()), int((s < 0).sum())
 
     pos, neg = count(translations)

@@ -11,8 +11,8 @@ from poseonly.geometry import THETA_FLOOR, rotation_about
 from poseonly.observations import (
     anchor_table,
     anchored_terms,
+    base_pairs,
     build_table,
-    select_bases,
     split_table,
 )
 
@@ -28,13 +28,14 @@ def noisy_scene(seed, n_views=6, n_points=12):
 class TestTable:
     def test_layout(self):
         prob = noisy_scene(1)
-        bases, degenerate = select_bases(prob.tracks, prob.rotations)
+        selected, degenerate = anchor_table(prob.tracks, prob.rotations)
         assert degenerate == []
         # Drop one track from the anchors and shuffle the input order: the
         # table keeps the anchored tracks only, in id order.
+        bases = base_pairs(selected.track_ids, selected.left, selected.right, selected.theta)
         del bases[3]
         shuffled = [prob.tracks[k] for k in make_rng(2).permutation(len(prob.tracks))]
-        table = build_table(shuffled, bases)
+        table = build_table(shuffled, bases, prob.rotations)
         kept = [t for t in prob.tracks if t.track_id != 3]
         assert table.track_ids.tolist() == [t.track_id for t in kept]
         for k, track in enumerate(kept):
@@ -56,13 +57,13 @@ class TestTable:
     def test_missing_anchor_view_rejected(self):
         track = po.Track(0, [0, 1], [[0.1, 0.2], [0.2, 0.1]])
         with pytest.raises(InputError, match=r"track 0: anchor pair \(0, 2\) is not two of"):
-            build_table([track], {0: po.BaseViewPair(0, 2, 0.1)})
+            anchor_table([track], np.stack([np.eye(3)] * 3), {0: po.BaseViewPair(0, 2, 0.1)})
 
     def test_anchor_pair_of_one_view_rejected(self):
         # Before, the pair (1, 1) silently became the pair (1, 2).
         track = po.Track(4, [0, 1, 2], [[0.1, 0.2], [0.2, 0.1], [0.3, 0.0]])
         with pytest.raises(InputError, match=r"track 4: anchor pair \(1, 1\) is not two of"):
-            build_table([track], {4: po.BaseViewPair(1, 1, 1.0)})
+            anchor_table([track], np.stack([np.eye(3)] * 3), {4: po.BaseViewPair(1, 1, 1.0)})
 
     @pytest.mark.parametrize("max_rows", [1, 6, 23, 1 << 40])
     def test_split_rebuilds_the_table(self, max_rows):
@@ -75,8 +76,7 @@ class TestTable:
             keep = np.sort(rng.choice(len(track), size=rng.integers(2, len(track) + 1),
                                       replace=False))
             tracks.append(po.Track(track.track_id, track.view_ids[keep], track.points[keep]))
-        bases, _ = select_bases(tracks, prob.rotations)
-        table = build_table(tracks, bases)
+        table, _ = anchor_table(tracks, prob.rotations)
         terms = anchored_terms(table, prob.rotations, prob.gt_centers())
         runs = split_table(table, max_rows)
 
@@ -117,7 +117,7 @@ class TestTable:
                 assert np.array_equal(getattr(own, name), getattr(terms, name)[t0:t1])
 
     def test_split_of_an_empty_table_has_no_runs(self):
-        assert split_table(build_table([], {}), 10) == []
+        assert split_table(anchor_table([], np.eye(3)[None])[0], 10) == []
 
 
 class TestKernelAgainstPairOracle:
@@ -129,8 +129,7 @@ class TestKernelAgainstPairOracle:
     def test_random_scenes(self, seed):
         prob = noisy_scene(700 + seed)
         poses = prob.gt_poses
-        bases, _ = select_bases(prob.tracks, prob.rotations)
-        table = build_table(prob.tracks, bases)
+        table, _ = anchor_table(prob.tracks, prob.rotations)
         Rs = np.stack([p.rotation for p in poses])
         Cs = np.stack([p.center for p in poses])
         terms = anchored_terms(table, Rs, Cs)
@@ -151,8 +150,7 @@ class TestKernelAgainstPairOracle:
                 )
 
     def test_rotations_only_leaves_center_terms_empty(self, scene_s1):
-        bases, _ = select_bases(scene_s1.tracks, scene_s1.rotations)
-        table = build_table(scene_s1.tracks, bases)
+        table, _ = anchor_table(scene_s1.tracks, scene_s1.rotations)
         terms = anchored_terms(table, scene_s1.rotations)
         assert terms.T is None and terms.depth is None
         # The kernel's theta^2 agrees with the selection's theta.
@@ -160,7 +158,7 @@ class TestKernelAgainstPairOracle:
 
 
 class TestBatchedSelection:
-    """One batched ``select_bases`` call against an exhaustive loop over
+    """One batched ``anchor_table`` call against an exhaustive loop over
     ``pair_geometry`` theta with a lexicographic tie-break."""
 
     N_VIEWS = 8
@@ -205,14 +203,16 @@ class TestBatchedSelection:
             monkeypatch.setattr(observations, "_TABLE_ENTRIES", budget)
         rotations, tracks = self.selection_case()
         poses = [po.CameraPose(R, np.zeros(3)) for R in rotations]
+        # Presets are kept as given, a theta of 0 included.
         preset = {0: po.BaseViewPair(*tracks[0].view_ids[:2].tolist(), 0.5),
-                  50: po.BaseViewPair(7, 7, 0.0)}
-        chosen, degenerate = select_bases(tracks, rotations, preset)
+                  50: po.BaseViewPair(*tracks[50].view_ids[[-1, 0]].tolist(), 0.0)}
+        table, degenerate = anchor_table(tracks, rotations, preset)
+        chosen = base_pairs(table.track_ids, table.left, table.right, table.theta)
 
         tie, rotation_only = tracks[-2:]
         assert degenerate == [rotation_only.track_id]
         assert (chosen[tie.track_id].left, chosen[tie.track_id].right) == (0, 1)
-        assert chosen[0] is preset[0] and chosen[50] is preset[50]
+        assert chosen[0] == preset[0] and chosen[50] == preset[50]
         assert set(chosen) == {t.track_id for t in tracks} - {rotation_only.track_id}
         for track in tracks:
             if track.track_id in preset:
@@ -322,6 +322,11 @@ class TestBatchedSelection:
         assert np.array_equal(picks, expected)
 
 
+def stray_base(tracks):
+    """Anchors of the stray track 998 that ends ``tracks``: its two views."""
+    return {998: po.BaseViewPair(*tracks[-1].view_ids.tolist(), 1.0)}
+
+
 class TestInputChecks:
     """Bad view ids and bad explicit anchors end in a named InputError."""
 
@@ -334,13 +339,22 @@ class TestInputChecks:
         "assemble_system": lambda prob, tracks: po.assemble_system(tracks, prob.rotations, 0),
         "pa_optimize": lambda prob, tracks: po.pa_optimize(prob.gt_poses, tracks),
         "reconstruct_all": lambda prob, tracks: po.reconstruct_all(tracks, prob.gt_poses),
+        # The anchors given: the entry points of build_table.
+        "pa_residuals": lambda prob, tracks: po.pa_residuals(
+            prob.gt_poses, tracks, stray_base(tracks)),
+        "pa_jacobian": lambda prob, tracks: po.pa_jacobian(
+            prob.gt_poses, tracks, stray_base(tracks),
+            po.PoseParameterization(prob.n_views, 0)),
+        "reconstruct_point": lambda prob, tracks: po.reconstruct_point(
+            tracks[-1], stray_base(tracks)[998], prob.gt_poses),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     @pytest.mark.parametrize("views, bad", [([-1, 0], -1), ([0, 6], 6)])
     def test_view_out_of_range_rejected(self, entry, views, bad):
         # A negative id used to wrap to the last view, and one past the
-        # last to raise a bare IndexError.
+        # last to raise a bare IndexError (with the anchors given, a
+        # negative id in pa_jacobian crashed the interpreter).
         prob, tracks = self.stray_scene(views)
         with pytest.raises(InputError, match=f"track 998: view {bad} "):
             self.ENTRIES[entry](prob, tracks)

@@ -13,7 +13,7 @@ from poseonly.errors import (
     InsufficientParallax,
 )
 from poseonly.geometry import rotation_about
-from poseonly.observations import build_table, pose_arrays, select_bases, split_table
+from poseonly.observations import anchor_table, base_pairs, build_table, pose_arrays, split_table
 from poseonly.pose_adjust import (
     PAConfig,
     PoseParameterization,
@@ -157,7 +157,7 @@ class TestResiduals:
         # 10 tracks of 5 rows and 2 of 2: runs of 1 row leave every track
         # alone, runs of 11 rows hold 2 tracks each (one collapsed track
         # beside a kept one), and 2^40 holds all.
-        table = build_table(tracks, bases)
+        table = build_table(tracks, bases, Rs)
         for max_rows in (1, 11, 1 << 40):
             runs = split_table(table, max_rows)
             assert len(runs) == {1: 12, 11: 6, 1 << 40: 1}[max_rows]
@@ -189,7 +189,7 @@ class TestResiduals:
                 po.SceneConfig(n_views=20, n_points=n_points, seed=43, obs_noise_sigma=1e-3)
             )
             Rs, Cs = pose_arrays(prob.gt_poses)
-            runs = split_table(build_table(prob.tracks, bases_for(prob)),
+            runs = split_table(anchor_table(prob.tracks, prob.rotations)[0],
                                pose_adjust._CHUNK_ROWS)
             tracemalloc.start()
             try:
@@ -260,7 +260,7 @@ def normal_equations_and_oracle(poses, tracks, bases, param):
     """(G, grad) as pa_optimize forms them, and (J'J, J'r) from the
     pa_jacobian oracle, at the same poses."""
     Rs, Cs = pose_arrays(poses)
-    runs = split_table(build_table(tracks, bases), pose_adjust._CHUNK_ROWS)
+    runs = split_table(build_table(tracks, bases, Rs), pose_adjust._CHUNK_ROWS)
     res, _, terms = _residuals(runs, Rs, Cs, "drop")
     G, grad = _normal_equations(runs, Rs, terms, res, param.matrix(Cs))
     J = pa_jacobian(poses, tracks, bases, param)
@@ -282,7 +282,7 @@ class TestNormalEquations:
         """Runs of ``several`` rows hold more than one track each and leave
         a shorter last run; runs of 1 row leave every track alone. Both
         match the oracle and the one-run build."""
-        table = build_table(tracks, bases)
+        table = build_table(tracks, bases, pose_arrays(poses)[0])
         monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", 1 << 40)
         assert len(split_table(table, pose_adjust._CHUNK_ROWS)) == 1
         G_one, grad_one, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
@@ -344,7 +344,7 @@ class TestNormalEquations:
                 po.SceneConfig(n_views=20, n_points=n_points, seed=43, obs_noise_sigma=1e-3)
             )
             Rs, Cs = pose_arrays(prob.gt_poses)
-            table = build_table(prob.tracks, bases_for(prob))
+            table, _ = anchor_table(prob.tracks, prob.rotations)
             runs = split_table(table, pose_adjust._CHUNK_ROWS)
             res, _, terms = _residuals(runs, Rs, Cs, "drop")
             S = default_param(prob).matrix(Cs)
@@ -489,7 +489,8 @@ class TestOptimize:
         )
         init = linear_poses(prob)
         Rs, Cs = pose_arrays(init)
-        bases, _ = select_bases(prob.tracks, Rs)
+        table, _ = anchor_table(prob.tracks, Rs)
+        bases = base_pairs(table.track_ids, table.left, table.right, table.theta)
         used = [t for t in prob.tracks if t.track_id in bases]
         anchor = select_anchor_view(used, prob.n_views, 0, Cs)
         param = PoseParameterization(prob.n_views, 0, anchor, True,

@@ -8,8 +8,8 @@ from poseonly.errors import AllPairsDegenerate, InsufficientParallax, RankDefici
 from poseonly import observations, translation_solver
 from poseonly.evaluate import report_lines
 from poseonly.geometry import skew
-from poseonly.observations import anchored_terms, build_table
-from poseonly.translation_solver import TranslationSystem, disambiguate_sign
+from poseonly.observations import anchor_table, anchored_terms
+from poseonly.translation_solver import disambiguate_sign
 
 from conftest import exact_generic_scene, gram_identity_pairs, make_rng, solve_problem_centers
 
@@ -69,7 +69,7 @@ class TestRowBlocks:
         # per-row ray x and W = x x g and per-track a and theta^2.
         prob = po.add_observation_noise(exact_generic_scene(70), 1e-3, 70)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
-        table = build_table(prob.tracks, system.bases)
+        table, _ = anchor_table(prob.tracks, prob.rotations)
         terms = anchored_terms(table, prob.rotations)
         B, C = system.B, system.C
         assert len(B) == len(C) == len(table.rows)
@@ -78,11 +78,26 @@ class TestRowBlocks:
             assert np.array_equal(C[k], terms.theta_sq[track] * skew(terms.x[k]))
 
     def test_system_stores_no_blocks(self):
+        # Neither the system nor the table and terms it holds keep an
+        # (m, 3, 3) array.
         prob = exact_generic_scene(70)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
         blocks = (len(system.row_views), 3, 3)
-        for field in dataclasses.fields(system):
-            assert np.shape(getattr(system, field.name)) != blocks, field.name
+        for owner in (system, system.table, system.terms):
+            for field in dataclasses.fields(owner):
+                assert np.shape(getattr(owner, field.name)) != blocks, field.name
+
+    def test_system_holds_table_and_terms(self):
+        # The system keeps what anchor_table and anchored_terms return for
+        # its tracks and rotations, field by field.
+        prob = po.add_observation_noise(exact_generic_scene(71), 1e-3, 71)
+        system = po.assemble_system(prob.tracks, prob.rotations, 0)
+        table, _ = anchor_table(prob.tracks, prob.rotations)
+        terms = anchored_terms(table, prob.rotations)
+        for held, fresh in ((system.table, table), (system.terms, terms)):
+            for field in dataclasses.fields(fresh):
+                name = field.name
+                assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
 
     def test_blocks_annihilate_ground_truth(self):
         for seed in range(5):
@@ -230,9 +245,9 @@ class TestBlockGram:
         assert_block_gram_matches(system)
 
     def test_eval_report_unchanged_from_stored_blocks(self, monkeypatch):
-        # evaluate_poses gives the very report it gave when the system
-        # stored its 3x3 blocks and the anchors came from the Gram identity:
-        # every chunk of B and C is then a slice of the full arrays.
+        # evaluate_poses, whose solve reads the block terms a chunk at a
+        # time, gives the very report it gives when the anchors come from
+        # the Gram identity in place of the (K, 6) product.
         prob = po.generate_scene(
             po.SceneConfig(n_views=12, n_points=60, seed=71, obs_noise_sigma=1e-3)
         )
@@ -240,11 +255,6 @@ class TestBlockGram:
         centers = solve_problem_centers(prob)
         poses = [po.CameraPose(R, c) for R, c in zip(prob.rotations, centers)]
         compact = report_lines(po.evaluate_poses(prob, poses))
-        blocks = TranslationSystem._blocks
-        monkeypatch.setattr(
-            TranslationSystem, "_blocks",
-            lambda self, rows=slice(None): tuple(full[rows] for full in blocks(self)),
-        )
         monkeypatch.setattr(observations, "_max_theta_pairs", gram_identity_pairs)
         assert report_lines(po.evaluate_poses(prob, poses)) == compact
 
@@ -275,7 +285,7 @@ class TestBlockGram:
         # A row with W = 0 has B = 0 but still adds its C's terms.
         tracks, rotations = gluing_scene()
         system = po.assemble_system(tracks, rotations, 0)
-        assert np.any(np.all(system.W == 0, axis=1))
+        assert np.any(np.all(system.terms.W == 0, axis=1))
         assert_block_gram_matches(system)
 
     def test_solve_path_builds_no_matrix(self, monkeypatch):
