@@ -5,19 +5,25 @@ view is a closed-form function of its anchor pair's observed rays and the
 camera poses. The linear translation system, pose-only refinement and
 analytic reconstruction all consume it, so they share one table of the
 anchored tracks' observations, sorted by (track, view), and one batched
-kernel over it (:func:`anchored_terms`). The kernel works in the world
-frame: with ``x_i = R_i' X_i`` the world-frame ray of observation i and
-``g`` the track's anchor-left ray, the feature sits at
-``P = C_left + depth g`` and every observation i outside the anchor-left
-view satisfies ``theta^2 x_i x (P - C_i) = 0``. Per row the kernel gives
-``x_i``, ``W = x_i x g`` and ``T = C_left - C_i``; per track it gives
-``g``, the anchor vector ``a = x_r (x_r.g) - g |x_r|^2`` (x_r: the
-anchor-right ray), ``theta^2 = |x_r x g|^2`` and the anchored depth
-``a . T_right / theta^2``. Every world-frame ray is computed a bounded
-chunk of observations at a time.
+kernel over it. The kernel works in the world frame: with
+``x_i = R_i' X_i`` the world-frame ray of observation i and ``g`` the
+track's anchor-left ray, the feature sits at ``P = C_left + depth g``
+and every observation i outside the anchor-left view satisfies
+``theta^2 x_i x (P - C_i) = 0``.
 
-Pose-only refinement runs its residual pass (this kernel, then the
-projection) and its normal-equation build over the runs of
+The per-track kernel (:func:`pair_terms`) reads only a track's two
+anchor observations: it gives ``g``, the anchor-right ray ``x_r``, the
+anchor vector ``a = x_r (x_r.g) - g |x_r|^2``, ``theta^2 = |x_r x g|^2``,
+``T_right = C_left - C_right`` and the anchored depth
+``a . T_right / theta^2``. Its formulas are written once, and
+:func:`anchored_terms` adds to the same per-track output, per row,
+``x_i``, ``W = x_i x g`` and ``T = C_left - C_i``. The translation
+system and reconstruction read those per-row terms; pose-only
+refinement needs none of them and runs the per-track kernel alone. Every
+world-frame ray is computed a bounded chunk of observations at a time.
+
+Pose-only refinement runs its residual pass (the per-track kernel, then
+the projection) and its normal-equation build over the runs of
 :func:`split_table`, so their temporaries stay one run's; its Jacobian
 oracle takes the whole table as one run.
 
@@ -30,7 +36,7 @@ table's arrays; :func:`build_table` (anchors given) and
 every entry point's anchors are checked there. theta at or below
 ``THETA_FLOOR`` is no parallax: such a track is degenerate at selection,
 a refined pose set that collapses its anchor pair drops it
-(:attr:`AnchorTerms.collapsed`), and such a pair adds nothing to a fused
+(:attr:`PairTerms.collapsed`), and such a pair adds nothing to a fused
 depth (:meth:`AnchorTerms.pair_theta`).
 """
 
@@ -305,22 +311,31 @@ def split_table(table: ObservationTable, max_rows: int) -> list:
 
 
 @dataclass(frozen=True)
-class AnchorTerms:
-    """Per-row (M) and per-track (T) output of :func:`anchored_terms`,
-    all in the world frame."""
+class PairTerms:
+    """Per-track (T) anchor-pair quantities of :func:`pair_terms`, all in
+    the world frame."""
 
-    x: np.ndarray  # (M, 3) row ray R_i' X_i
-    W: np.ndarray  # (M, 3) x x g; its norm is the pair (left, i) theta
     g: np.ndarray  # (T, 3) anchor-left ray R_left' X_left
-    a: np.ndarray  # (T, 3) x_r (x_r . g) - g |x_r|^2, x_r the anchor-right ray
+    x_r: np.ndarray  # (T, 3) anchor-right ray R_right' X_right
+    a: np.ndarray  # (T, 3) x_r (x_r . g) - g |x_r|^2
     theta_sq: np.ndarray  # (T,) |x_r x g|^2
-    T: np.ndarray | None = None  # (M, 3) C_left - C_i
+    T_right: np.ndarray | None = None  # (T, 3) C_left - C_right
     depth: np.ndarray | None = None  # (T,) anchored depth, 0 where theta = 0
 
     @property
     def collapsed(self) -> np.ndarray:
         """(T,) tracks whose anchor theta fell to THETA_FLOOR or below."""
         return self.theta_sq <= THETA_FLOOR**2
+
+
+@dataclass(frozen=True, kw_only=True)
+class AnchorTerms(PairTerms):
+    """:class:`PairTerms` plus the per-row (M) output of
+    :func:`anchored_terms`, all in the world frame."""
+
+    x: np.ndarray  # (M, 3) row ray R_i' X_i
+    W: np.ndarray  # (M, 3) x x g; its norm is the pair (left, i) theta
+    T: np.ndarray | None = None  # (M, 3) C_left - C_i
 
     def pair_theta(self) -> np.ndarray:
         """(M,) theta of each row's pair (anchor left, row view); 0 where
@@ -333,20 +348,37 @@ def _dot_rows(A, B) -> np.ndarray:
     return np.einsum("ki,ki->k", A, B)
 
 
+def _pair_fields(g, x_r, T_right=None) -> dict:
+    """The per-track kernel: the :class:`PairTerms` fields of tracks with
+    anchor rays ``g`` and ``x_r``; ``depth`` needs ``T_right``."""
+    a = x_r * _dot_rows(g, x_r)[:, None] - g * _dot_rows(x_r, x_r)[:, None]
+    w = cross_rows(x_r, g)
+    theta_sq = _dot_rows(w, w)
+    depth = None
+    if T_right is not None:
+        along = _dot_rows(a, T_right)
+        depth = np.divide(along, theta_sq, out=np.zeros_like(along), where=theta_sq > 0)
+    return dict(g=g, x_r=x_r, a=a, theta_sq=theta_sq, T_right=T_right, depth=depth)
+
+
+def pair_terms(table: ObservationTable, rotations, centers) -> PairTerms:
+    """Batched world-frame anchor-pair quantities of every track, from its
+    two anchor observations alone: no per-row ray is computed."""
+    n = len(table.left)
+    rays = _world_rays(rotations, table.obs_view, table.obs_xy,
+                       np.concatenate((table.left_obs, table.rows[table.right_row])))
+    T_right = centers[table.left] - centers[table.right]
+    return PairTerms(**_pair_fields(rays[:n], rays[n:], T_right))
+
+
 def anchored_terms(table: ObservationTable, rotations, centers=None) -> AnchorTerms:
-    """Batched world-frame anchor-pair quantities of every row and track;
-    ``T`` and ``depth`` need the camera centers and stay None without
-    them."""
+    """:func:`pair_terms` plus the rays ``x``, their cross products ``W``
+    with ``g`` and, given the camera centers, ``T`` of every row; without
+    centers ``T``, ``T_right`` and ``depth`` stay None."""
     row_track = table.row_track
     x = _world_rays(rotations, table.obs_view, table.obs_xy, table.rows)
     g = _world_rays(rotations, table.obs_view, table.obs_xy, table.left_obs)
     W = cross_rows(x, g[row_track])
-    v, w = x[table.right_row], W[table.right_row]
-    a = v * _dot_rows(g, v)[:, None] - g * _dot_rows(v, v)[:, None]
-    theta_sq = _dot_rows(w, w)
-    if centers is None:
-        return AnchorTerms(x, W, g, a, theta_sq)
-    T = centers[table.left][row_track] - centers[table.row_view]
-    along = _dot_rows(a, T[table.right_row])
-    depth = np.divide(along, theta_sq, out=np.zeros_like(along), where=theta_sq > 0)
-    return AnchorTerms(x, W, g, a, theta_sq, T, depth)
+    T = None if centers is None else centers[table.left][row_track] - centers[table.row_view]
+    T_right = None if T is None else T[table.right_row]
+    return AnchorTerms(**_pair_fields(g, x[table.right_row], T_right), x=x, W=W, T=T)

@@ -16,12 +16,17 @@ history is non-increasing by construction.
 
 The optimizer cuts the table once into runs of whole tracks, and its
 residual pass (:func:`_residuals`) and normal-equation build
-(:func:`_normal_equations`) go one run at a time. Between iterations
-it holds the accepted state's residuals and each run's kernel terms,
-from which the build forms the Jacobian's block-sparse factors
-J6 = Jc + Jp D (:func:`_factors`), never J; only the dense 6n x 6n
-matrix they add into grows, with the views. :func:`pa_residuals` and
-the oracle :func:`pa_jacobian` take the whole table as one run.
+(:func:`_normal_equations`) go one run at a time. The pass computes each
+pose state once: per track the anchor-pair kernel alone
+(:func:`~poseonly.observations.pair_terms`, no per-row ray), per row the
+feature relative to its observing center and in its camera's frame
+(:class:`_Projection`). Between iterations the optimizer holds the
+accepted state's residuals and each run's projection (64 bytes per row
+and 112 per track), from which the build forms the Jacobian's
+block-sparse factors J6 = Jc + Jp D (:func:`_factors`) without
+projecting again, never J; only the dense 6n x 6n matrix they add into
+grows, with the views. :func:`pa_residuals` and the oracle
+:func:`pa_jacobian` take the whole table as one run.
 """
 
 from dataclasses import dataclass
@@ -34,10 +39,11 @@ from scipy.spatial.transform import Rotation
 from .errors import ConfigInvalid, DegenerateBase, DivergedNumerically, InsufficientParallax
 from .geometry import CameraPose, cross_rows, skew_batch
 from .observations import (
+    PairTerms,
     anchor_table,
-    anchored_terms,
     build_table,
     flatten_tracks,
+    pair_terms,
     pose_arrays,
     split_table,
 )
@@ -183,39 +189,51 @@ def select_anchor_view(tracks, n_views, reference_view, centers) -> int | None:
     return None
 
 
-def _project(table, Rs, terms):
-    """Each row's rotation R = R_i, its feature relative to the observing
-    center Q = P - C_i = depth g + T (world frame), and Y = R Q, the
-    feature in the observing camera's frame."""
-    row_track = table.row_track
-    R = Rs[table.row_view]
-    Q = terms.depth[row_track, None] * terms.g[row_track] + terms.T
-    return R, Q, np.einsum("kij,kj->ki", R, Q)
+@dataclass(frozen=True)
+class _Projection:
+    """What the residual pass computes of one run at one pose state and
+    the normal-equation build reads: the kernel's per-track terms, and per
+    row the feature relative to the observing center, Q = P - C_i =
+    depth g + T (world frame), and in the observing camera's frame,
+    Y = R_i Q."""
+
+    pair: PairTerms
+    Q: np.ndarray  # (M, 3)
+    Y: np.ndarray  # (M, 3)
+
+
+def _project(table, Rs, Cs) -> _Projection:
+    """The projection of every row of ``table`` at the poses (Rs, Cs),
+    with only the per-track kernel: no per-row ray is computed."""
+    pair = pair_terms(table, Rs, Cs)
+    row_track, row_view = table.row_track, table.row_view
+    Q = (pair.depth[row_track, None] * pair.g[row_track]
+         + (Cs[table.left][row_track] - Cs[row_view]))
+    return _Projection(pair, Q, np.einsum("kij,kj->ki", Rs[row_view], Q))
 
 
 def _residuals(runs, Rs, Cs, on_degenerate):
     """One 2-vector per table row (tracks by id, views in track order,
     anchor-left view skipped), one run at a time; rows of tracks whose
-    anchor pair collapsed (:attr:`AnchorTerms.collapsed`) are zero.
-    Returns (residuals, dropped track ids, each run's kernel terms)."""
+    anchor pair collapsed (:attr:`PairTerms.collapsed`) are zero.
+    Returns (residuals, dropped track ids, each run's :class:`_Projection`)."""
     res = np.empty((sum(len(run.rows) for run in runs), 2))
-    dropped, terms = [], []
+    dropped, projections = [], []
     stop = 0
     for run in runs:
-        part = anchored_terms(run, Rs, Cs)
-        degenerate = part.collapsed
+        part = _project(run, Rs, Cs)
+        degenerate = part.pair.collapsed
         if on_degenerate == "raise" and degenerate.any():
             k = int(np.argmax(degenerate))
             raise DegenerateBase(f"track {run.track_ids[k]}: anchor pair theta^2 "
-                                 f"{part.theta_sq[k]!r} collapsed below the floor")
-        Y = _project(run, Rs, part)[2]
+                                 f"{part.pair.theta_sq[k]!r} collapsed below the floor")
         start, stop = stop, stop + len(run.rows)
         with np.errstate(divide="ignore", invalid="ignore"):
-            res[start:stop] = Y[:, :2] / Y[:, 2:3] - run.obs_xy[run.rows]
+            res[start:stop] = part.Y[:, :2] / part.Y[:, 2:3] - run.obs_xy[run.rows]
         res[start:stop][degenerate[run.row_track]] = 0.0
         dropped += run.track_ids[degenerate].tolist()
-        terms.append(part)
-    return res.reshape(-1), dropped, terms
+        projections.append(part)
+    return res.reshape(-1), dropped, projections
 
 
 def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
@@ -233,10 +251,10 @@ def pa_residuals(poses, tracks, bases, on_degenerate: str = "raise"):
     return _residuals([build_table(tracks, bases, Rs)], Rs, Cs, on_degenerate)[:2]
 
 
-def _factors(table, Rs, terms):
+def _factors(table, Rs, part):
     """The three block-sparse factors of the Jacobian J6 = Jc + Jp D over
-    all 6n view (rotation, center) columns, at the poses ``terms`` came
-    from.
+    all 6n view (rotation, center) columns, from the :class:`_Projection`
+    ``part`` at the poses with rotations ``Rs``.
 
     Row k sees the feature P = C_left + depth g at Y = R_i Q, Q = P - C_i
     (world frame throughout). With PR = P_pi R_i, P_pi the Jacobian of
@@ -254,31 +272,37 @@ def _factors(table, Rs, terms):
     All three are zero on collapsed tracks, whose depth can be large
     enough for their derivatives to overflow.
     """
-    valid = ~terms.collapsed
-    inv_sq = np.divide(1.0, terms.theta_sq, out=np.zeros_like(terms.theta_sq), where=valid)
-    g, a = terms.g, terms.a
-    v, s = terms.x[table.right_row], terms.T[table.right_row]
+    pair = part.pair
+    valid = ~pair.collapsed
+    inv_sq = np.divide(1.0, pair.theta_sq, out=np.zeros_like(pair.theta_sq), where=valid)
+    g, a, v, s = pair.g, pair.a, pair.x_r, pair.T_right
     q = (v * np.einsum("ti,ti->t", v, s)[:, None] - s * np.einsum("ti,ti->t", v, v)[:, None]
-         + 2.0 * terms.depth[:, None] * a)
+         + 2.0 * pair.depth[:, None] * a)
     d = np.empty((len(g), 4, 3))
     d[:, 0] = cross_rows(q, g) * inv_sq[:, None]
     d[:, 1] = a * inv_sq[:, None]
     d[:, 2] = -d[:, 0] - cross_rows(a, s) * inv_sq[:, None]
     d[:, 3] = -d[:, 1]
     dP = g[:, :, None] * d.reshape(-1, 1, 12)
-    dP[:, :, :3] += terms.depth[:, None, None] * skew_batch(g)
+    dP[:, :, :3] += pair.depth[:, None, None] * skew_batch(g)
     dP[:, :, 3:6] += np.eye(3)
     dP[~valid] = 0.0
 
-    R, Q, Y = _project(table, Rs, terms)
+    # PR and PR N are formed component-major, (..., rows), so that each
+    # operation runs over all rows at once, then laid out row by row for
+    # the blocks. R[a] holds row a of every row's R_i.
+    R, Q, Y = Rs.transpose(1, 2, 0)[:, :, table.row_view], part.Q.T, part.Y.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = Y[:, 2:3]
-        proj = Y[:, :2] / z
-        # P_pi @ v = (v[:2] - proj * v[2]) / z
-        PR = (R[:, :2] - proj[:, :, None] * R[:, 2:3]) / z[:, :, None]
-    PRN = np.empty((len(R), 2, 6))
-    PRN[:, :, :3] = -cross_rows(PR, Q[:, None, :])
-    PRN[:, :, 3:] = -PR
+        inv_z = 1.0 / Y[2]
+        # P_pi @ v = (v[:2] - proj * v[2]) / z, proj = Y[:2] / z
+        PR = np.stack([(R[a] - Y[a] * inv_z * R[2]) * inv_z for a in range(2)])
+    # Row a of PR N is (Q x PR[a], -PR[a]).
+    PRN = np.empty((2, 6, len(inv_z)))
+    PRN[:, 0] = Q[1] * PR[:, 2] - Q[2] * PR[:, 1]
+    PRN[:, 1] = Q[2] * PR[:, 0] - Q[0] * PR[:, 2]
+    PRN[:, 2] = Q[0] * PR[:, 1] - Q[1] * PR[:, 0]
+    PRN[:, 3:] = -PR
+    PR, PRN = PR.transpose(2, 0, 1).copy(), PRN.transpose(2, 0, 1).copy()
     dead = ~valid[table.row_track]
     PR[dead] = 0.0
     PRN[dead] = 0.0
@@ -303,14 +327,15 @@ def pa_jacobian(poses, tracks, bases, parameterization: PoseParameterization) ->
     """
     Rs, Cs = pose_arrays(poses)
     table = build_table(tracks, bases, Rs)
-    Jc, Jp, D = _factors(table, Rs, anchored_terms(table, Rs, Cs))
+    Jc, Jp, D = _factors(table, Rs, _project(table, Rs, Cs))
     return (Jc + Jp @ D).tocsr() @ parameterization.matrix(Cs)
 
 
-def _run_products(table, Rs, terms, res):
-    """X = D'(W + UD/2) + Jc'Jc/2, a BSR matrix of 6x6 blocks, and
-    J6'r over the 6n view columns, for one table and its ``terms`` and
-    residuals ``res``; J6'J6 = X + X'.
+def _run_products(table, Rs, part, res):
+    """X = D'(W + UD/2) and the block diagonal Jc'Jc, BSR matrices of 6x6
+    blocks, and J6'r over the 6n view columns, for one table, its
+    :class:`_Projection` ``part`` and residuals ``res``;
+    J6'J6 = X + X' + Jc'Jc.
 
     With the factors of :func:`_factors`, J6 = Jc + Jp D gives
         J6'J6 = Jc'Jc + W'D + D'W + D'UD,   J6'r = Jc'r + D'(Jp'r),
@@ -319,9 +344,10 @@ def _run_products(table, Rs, terms, res):
     one block per observation: a track's rows fill every slot but the
     anchor-left one, which UD's left block takes, and UD's right block
     adds to the anchor-right row's. Every block sits where the table
-    puts it.
+    puts it. Jc has one block per row at its observing view, so Jc'Jc
+    has one per view, on the diagonal.
     """
-    Jc, Jp, D = _factors(table, Rs, terms)
+    Jc, Jp, D = _factors(table, Rs, part)
     PR, track_rows, n = Jp.data, table.row_start[:-1], len(Rs)
     W = PR.transpose(0, 2, 1) @ Jc.data
     # The center half of PR N is -PR, so W's is -PR'PR: U needs no product.
@@ -334,34 +360,39 @@ def _run_products(table, Rs, terms, res):
     E = sp.bsr_matrix((E, table.obs_view, table.track_start), shape=(3 * len(U), 6 * n))
 
     Jc_t, D_t = Jc.T, D.T
-    Jp_r = np.add.reduceat((PR * res.reshape(-1, 2, 1)).sum(axis=1), track_rows)
-    return D_t @ E + 0.5 * (Jc_t @ Jc), Jc_t @ res + D_t @ Jp_r.ravel()
+    r = res.reshape(-1, 2)
+    Jp_r = np.add.reduceat(PR[:, 0] * r[:, :1] + PR[:, 1] * r[:, 1:], track_rows)
+    return D_t @ E, Jc_t @ Jc, Jc_t @ res + D_t @ Jp_r.ravel()
 
 
-def _normal_equations(runs, Rs, terms, res, S):
+def _normal_equations(runs, Rs, projections, res, S):
     """G = J'J and grad = J'r of the pose-only cost over the parameters of
     the map ``S``, without forming J, at the poses :func:`_residuals` gave
-    ``res`` and the per-run ``terms`` at.
+    ``res`` and the per-run ``projections`` at.
 
     The ``runs`` of whole tracks (:func:`~poseonly.observations.split_table`)
-    go through :func:`_run_products` one at a time with their terms and
-    slices of ``res``. No track spans two runs, so their X and J6'r add
-    up to the whole table's, and the block-sparse arrays hold one run of
-    at most ``_CHUNK_ROWS`` rows (more only for a single longer track).
-    Only the dense G6 = X + X' (6n x 6n), which gives G = S'G6S and
-    grad = S'g6, grows, with the views.
+    go through :func:`_run_products` one at a time with their projections
+    and slices of ``res``. No track spans two runs, so their X, Jc'Jc and
+    J6'r add up to the whole table's, and the block-sparse arrays hold one
+    run of at most ``_CHUNK_ROWS`` rows (more only for a single longer
+    track). Each run's blocks go straight into the dense G6 (6n x 6n) and
+    the per-view diagonal; only G6 = X + X' + Jc'Jc, which gives
+    G = S'G6S and grad = S'g6, grows, with the views.
     """
     n = len(Rs)
-    G6, g6 = np.zeros((6 * n, 6 * n)), np.zeros(6 * n)
+    G6, g6, JcJc = np.zeros((6 * n, 6 * n)), np.zeros(6 * n), np.zeros((n, 6, 6))
     G6_blocks = G6.reshape(n, 6, n, 6).swapaxes(1, 2)  # [u, v] is the 6x6 block (u, v)
     stop = 0
-    for run, part in zip(runs, terms):
+    for run, part in zip(runs, projections):
         start, stop = stop, stop + 2 * len(run.rows)
-        X, Jr = _run_products(run, Rs, part, res[start:stop])
-        X.sum_duplicates()  # the += below needs each block once
+        X, JcJc_run, Jr = _run_products(run, Rs, part, res[start:stop])
+        # A BSR product holds each block once, as the += below needs.
         G6_blocks[np.repeat(np.arange(n), np.diff(X.indptr)), X.indices] += X.data
+        JcJc[JcJc_run.indices] += JcJc_run.data
         g6 += Jr
     G6 += G6.T
+    views = np.arange(n)
+    G6_blocks[views, views] += JcJc
     return S.T @ G6 @ S, S.T @ g6
 
 
@@ -396,7 +427,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
         n_views, reference_view, anchor_view, config.refine_rotations, radius
     )
 
-    res, dropped, terms = _residuals(runs, Rs, Cs, "drop")
+    res, dropped, projections = _residuals(runs, Rs, Cs, "drop")
     cost = float(res @ res)
     if not np.isfinite(cost):
         raise DivergedNumerically(f"initial cost is {cost!r}")
@@ -406,7 +437,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
     iterations = 0
 
     while iterations < config.max_iter:
-        G, grad = _normal_equations(runs, Rs, terms, res, param.matrix(Cs))
+        G, grad = _normal_equations(runs, Rs, projections, res, param.matrix(Cs))
         if np.max(np.abs(grad), initial=0.0) <= config.gradient_tol:
             termination = "gradient"
             break
@@ -423,7 +454,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
                 lam *= _LM_UP
                 continue
             Rs_try, Cs_try = param.apply(Rs, Cs, delta)
-            res_try, dropped_try, terms_try = _residuals(runs, Rs_try, Cs_try, "drop")
+            res_try, dropped_try, projections_try = _residuals(runs, Rs_try, Cs_try, "drop")
             cost_try = float(res_try @ res_try)
             if np.isfinite(cost_try) and cost_try < cost:
                 accepted = True
@@ -434,7 +465,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
             break
 
         Rs, Cs = Rs_try, Cs_try
-        res, dropped, terms, cost = res_try, dropped_try, terms_try, cost_try
+        res, dropped, projections, cost = res_try, dropped_try, projections_try, cost_try
         history.append(cost)
         lam = max(lam / _LM_DOWN, 1e-15)
         iterations += 1

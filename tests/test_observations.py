@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -13,6 +14,8 @@ from poseonly.observations import (
     anchored_terms,
     base_pairs,
     build_table,
+    pair_terms,
+    pose_arrays,
     split_table,
 )
 
@@ -149,10 +152,21 @@ class TestKernelAgainstPairOracle:
                     Rs[view] @ terms.T[row], pair.rel_translation, rtol=0, atol=1e-12
                 )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_track_kernel_is_shared(self, seed):
+        # pa runs the per-track kernel alone; the full kernel's per-track
+        # terms are the same computation, bit for bit.
+        prob = noisy_scene(700 + seed)
+        Rs, Cs = pose_arrays(prob.gt_poses)
+        table, _ = anchor_table(prob.tracks, Rs)
+        pair, terms = pair_terms(table, Rs, Cs), anchored_terms(table, Rs, Cs)
+        for name in (field.name for field in dataclasses.fields(pair)):
+            assert np.array_equal(getattr(pair, name), getattr(terms, name)), name
+
     def test_rotations_only_leaves_center_terms_empty(self, scene_s1):
         table, _ = anchor_table(scene_s1.tracks, scene_s1.rotations)
         terms = anchored_terms(table, scene_s1.rotations)
-        assert terms.T is None and terms.depth is None
+        assert terms.T is None and terms.T_right is None and terms.depth is None
         # The kernel's theta^2 agrees with the selection's theta.
         assert np.allclose(terms.theta_sq, table.theta**2, rtol=1e-12)
 

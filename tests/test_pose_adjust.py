@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,14 @@ from poseonly.errors import (
     InsufficientParallax,
 )
 from poseonly.geometry import rotation_about
-from poseonly.observations import anchor_table, base_pairs, build_table, pose_arrays, split_table
+from poseonly.observations import (
+    anchor_table,
+    anchored_terms,
+    base_pairs,
+    build_table,
+    pose_arrays,
+    split_table,
+)
 from poseonly.pose_adjust import (
     PAConfig,
     PoseParameterization,
@@ -177,6 +185,30 @@ class TestResiduals:
             costs.append(report.initial_cost)
         res, _ = pa_residuals(poses, prob.tracks, bases_for(prob))
         assert costs == [float(res @ res)] * 3
+
+    def test_held_state_is_lean(self):
+        # What the pass keeps of each run for the normal-equation build:
+        # per row Q and Y (48 bytes) beside the residual (16), and no
+        # world ray x or cross product W of any row.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=12, n_points=80, seed=19, obs_noise_sigma=1e-3)
+        )
+        Rs, Cs = pose_arrays(linear_poses(prob))
+        runs = split_table(anchor_table(prob.tracks, Rs)[0], 200)
+        assert len(runs) > 1
+        res, _, projections = _residuals(runs, Rs, Cs, "drop")
+        assert res.nbytes == 16 * sum(len(run.rows) for run in runs)
+        for run, part in zip(runs, projections):
+            full = anchored_terms(run, Rs, Cs)
+            held = [getattr(owner, field.name)
+                    for owner in (part, part.pair) for field in dataclasses.fields(owner)]
+            held = [array for array in held if isinstance(array, np.ndarray)]
+            rows, tracks = len(run.rows), len(run.left)
+            assert rows > tracks
+            for array in held:
+                assert len(array) in (rows, tracks)
+                assert not np.array_equal(array, full.x) and not np.array_equal(array, full.W)
+            assert sum(array.nbytes for array in held if len(array) == rows) <= 48 * rows
 
     def test_trial_pass_memory_independent_of_observation_count(self):
         # 19,000 and 76,000 rows: what the pass allocates and frees again
@@ -575,6 +607,51 @@ class TestOptimize:
         assert iterations_a == iterations_b == 3
         assert np.max(np.abs(Rs_a - Rs_b)) <= 1e-12
         assert np.max(np.abs(Cs_a - Cs_b)) <= 1e-12
+
+    def test_rejected_try_leaves_no_stale_state(self, monkeypatch):
+        # With almost no damping the first steps from rotations 35 degrees
+        # and centers about 1 off overshoot, so tries are rejected. Every
+        # build must read the accepted state's residual pass and equal, bit
+        # for bit, a build from a fresh pass at those poses, whatever trial
+        # passes were dropped before it.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=8, n_points=40, seed=52, obs_noise_sigma=1e-3)
+        )
+        rng = make_rng(1)
+        init = [prob.gt_poses[0]]
+        for pose in prob.gt_poses[1:]:
+            axis = rng.standard_normal(3)
+            turn = rotation_about(axis / np.linalg.norm(axis), np.radians(35.0))
+            init.append(po.CameraPose(turn @ pose.rotation, pose.center + rng.standard_normal(3)))
+        passes, builds = [], []
+        residuals, normal_equations = _residuals, _normal_equations
+
+        def counted_residuals(runs, Rs, Cs, on_degenerate):
+            out = residuals(runs, Rs, Cs, on_degenerate)
+            passes.append((runs, Rs, Cs, out))
+            return out
+
+        def recorded_normal_equations(runs, Rs, projections, res, S):
+            G, grad = normal_equations(runs, Rs, projections, res, S)
+            read = next(k for k, held in enumerate(passes) if held[3][0] is res)
+            builds.append((read, Rs, S, G, grad))
+            return G, grad
+
+        monkeypatch.setattr(pose_adjust, "_LM_LAMBDA0", 1e-12)
+        monkeypatch.setattr(pose_adjust, "_residuals", counted_residuals)
+        monkeypatch.setattr(pose_adjust, "_normal_equations", recorded_normal_equations)
+        _, report = po.pa_optimize(init, prob.tracks,
+                                   PAConfig(max_iter=4, gradient_tol=0.0, step_tol=0.0))
+        assert report.iterations == len(builds) == 4
+        reads = [read for read, *_ in builds]
+        # A build followed a rejected try: more than one pass since the last.
+        assert any(b - a > 1 for a, b in zip(reads, reads[1:]))
+        for read, Rs_build, S, G, grad in builds:
+            runs, Rs, Cs, _ = passes[read]
+            assert Rs_build is Rs
+            res, _, projections = residuals(runs, Rs, Cs, "drop")
+            G_fresh, grad_fresh = normal_equations(runs, Rs, projections, res, S)
+            assert np.array_equal(G, G_fresh) and np.array_equal(grad, grad_fresh)
 
     def test_nonfinite_input_raises(self):
         prob = po.generate_scene(po.SceneConfig(n_views=5, n_points=8, seed=27))
