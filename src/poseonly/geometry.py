@@ -41,19 +41,9 @@ ROTATION_TOL = 1e-9  # bound on a rotation's ||R'R - I|| and |det R - 1|
 MIN_PROJECTION_DEPTH = 1e-12
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    """3x3 antisymmetric matrix such that skew(v) @ w == cross(v, w)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
 def skew_batch(V: np.ndarray) -> np.ndarray:
-    """Skew matrices for a batch of vectors, shape (N, 3) -> (N, 3, 3)."""
+    """Skew matrices ``[v]x`` (``[v]x @ w == cross(v, w)``) of a batch of
+    vectors, (..., 3) -> (..., 3, 3); a single (3,) vector gives one 3x3."""
     out = np.zeros(V.shape[:-1] + (3, 3))
     out[..., 0, 1] = -V[..., 2]
     out[..., 0, 2] = V[..., 1]
@@ -89,7 +79,7 @@ def cross_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def rotation_about(axis: np.ndarray, angle_rad: float) -> np.ndarray:
     """Rotation matrix for a unit axis and an angle (Rodrigues form)."""
     axis = np.asarray(axis, dtype=float)
-    K = skew(axis)
+    K = skew_batch(axis)
     return np.eye(3) + np.sin(angle_rad) * K + (1.0 - np.cos(angle_rad)) * (K @ K)
 
 

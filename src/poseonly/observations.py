@@ -18,14 +18,12 @@ anchor vector ``a = x_r (x_r.g) - g |x_r|^2``, ``theta^2 = |x_r x g|^2``,
 ``a . T_right / theta^2``. Its formulas are written once, and
 :func:`anchored_terms` adds to the same per-track output, per row,
 ``x_i``, ``W = x_i x g`` and ``T = C_left - C_i``. The translation
-system and reconstruction read those per-row terms; pose-only
-refinement needs none of them and runs the per-track kernel alone. Every
-world-frame ray is computed a bounded chunk of observations at a time.
+system's Gram and reconstruction read those per-row terms; pose-only
+refinement needs none of them and runs the per-track kernel alone.
 
-Pose-only refinement runs its residual pass (the per-track kernel, then
-the projection) and its normal-equation build over the runs of
-:func:`split_table`, so their temporaries stay one run's; its Jacobian
-oracle takes the whole table as one run.
+Every stage walks the table in the runs of :func:`split_table`, whole
+tracks of at most ``RUN_ROWS`` rows, so per-row terms exist one run at a
+time and nothing holds them; only the oracles take the whole table.
 
 This module alone holds the anchor policy. The selection pass
 (:func:`anchor_table`) builds the table: it flattens the tracks once,
@@ -37,7 +35,7 @@ every entry point's anchors are checked there. theta at or below
 ``THETA_FLOOR`` is no parallax: such a track is degenerate at selection,
 a refined pose set that collapses its anchor pair drops it
 (:attr:`PairTerms.collapsed`), and such a pair adds nothing to a fused
-depth (:meth:`AnchorTerms.pair_theta`).
+depth.
 """
 
 from dataclasses import dataclass
@@ -113,6 +111,11 @@ class ObservationTable:
 # float64): memory stays bounded whatever the track count, and the
 # working set stays in cache.
 _TABLE_ENTRIES = 1 << 18
+
+# Rows per run of split_table, the unit every per-row kernel and the
+# reprojection check take at once (or one longer track), so their working
+# set stays bounded at any observation count.
+RUN_ROWS = 1 << 14
 
 # _world_rays gathers the rotations of at most this many observations at
 # once (288 KB), never an (N, 3, 3) stack of the whole input.
@@ -278,22 +281,20 @@ def select_base_views(track: Track, rotations: np.ndarray) -> BaseViewPair:
     return base_pairs(table.track_ids, table.left, table.right, table.theta)[track.track_id]
 
 
-def split_table(table: ObservationTable, max_rows: int) -> list:
-    """The table cut into consecutive runs of whole tracks of at most
-    ``max_rows`` rows each; a longer track is a run of its own. Each run
-    is a table of its own, whose index arrays are re-based to it and
-    whose other arrays are views; a run's tracks and rows follow the
-    previous runs', ``len(run.left)`` and ``len(run.rows)`` of them."""
+def split_table(table: ObservationTable, max_rows: int | None = None):
+    """Yield the table in consecutive runs of whole tracks of at most
+    ``max_rows`` rows (``RUN_ROWS``, read at the call, when None); a
+    longer track is a run of its own. Each run is a table of its own,
+    made as it is taken, whose index arrays are re-based to it and whose
+    other arrays are views; a run's tracks and rows follow the previous
+    runs', ``len(run.left)`` and ``len(run.rows)`` of them."""
+    max_rows = RUN_ROWS if max_rows is None else max_rows
     row_start, track_start = table.row_start, table.track_start
-    cuts = [0]
-    while cuts[-1] < len(table.left):
-        t = cuts[-1]
-        end = int(np.searchsorted(row_start, row_start[t] + max_rows, side="right")) - 1
-        cuts.append(max(end, t + 1))
-    runs = []
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+    t0 = 0
+    while t0 < len(table.left):
+        t1 = max(int(np.searchsorted(row_start, row_start[t0] + max_rows, "right")) - 1, t0 + 1)
         (o0, o1), (r0, r1) = track_start[[t0, t1]].tolist(), row_start[[t0, t1]].tolist()
-        runs.append(ObservationTable(
+        yield ObservationTable(
             track_ids=table.track_ids[t0:t1],
             track_start=track_start[t0:t1 + 1] - o0,
             obs_track=table.obs_track[o0:o1] - t0,
@@ -306,8 +307,8 @@ def split_table(table: ObservationTable, max_rows: int) -> list:
             rows=table.rows[r0:r1] - o0,
             row_start=row_start[t0:t1 + 1] - r0,
             right_row=table.right_row[t0:t1] - r0,
-        ))
-    return runs
+        )
+        t0 = t1
 
 
 @dataclass(frozen=True)
@@ -337,12 +338,6 @@ class AnchorTerms(PairTerms):
     W: np.ndarray  # (M, 3) x x g; its norm is the pair (left, i) theta
     T: np.ndarray | None = None  # (M, 3) C_left - C_i
 
-    def pair_theta(self) -> np.ndarray:
-        """(M,) theta of each row's pair (anchor left, row view); 0 where
-        it is at or below THETA_FLOOR."""
-        theta = np.linalg.norm(self.W, axis=1)
-        return np.where(theta > THETA_FLOOR, theta, 0.0)
-
 
 def _dot_rows(A, B) -> np.ndarray:
     return np.einsum("ki,ki->k", A, B)
@@ -361,13 +356,14 @@ def _pair_fields(g, x_r, T_right=None) -> dict:
     return dict(g=g, x_r=x_r, a=a, theta_sq=theta_sq, T_right=T_right, depth=depth)
 
 
-def pair_terms(table: ObservationTable, rotations, centers) -> PairTerms:
+def pair_terms(table: ObservationTable, rotations, centers=None) -> PairTerms:
     """Batched world-frame anchor-pair quantities of every track, from its
-    two anchor observations alone: no per-row ray is computed."""
+    two anchor observations alone: no per-row ray is computed. Without
+    centers ``T_right`` and ``depth`` stay None."""
     n = len(table.left)
     rays = _world_rays(rotations, table.obs_view, table.obs_xy,
                        np.concatenate((table.left_obs, table.rows[table.right_row])))
-    T_right = centers[table.left] - centers[table.right]
+    T_right = None if centers is None else centers[table.left] - centers[table.right]
     return PairTerms(**_pair_fields(rays[:n], rays[n:], T_right))
 
 

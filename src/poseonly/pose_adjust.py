@@ -14,8 +14,9 @@ Marquardt) normal equations with Marquardt diagonal scaling drive the
 iteration; steps that do not lower the cost are rejected, so the cost
 history is non-increasing by construction.
 
-The optimizer cuts the table once into runs of whole tracks, and its
-residual pass (:func:`_residuals`) and normal-equation build
+The optimizer keeps the table's runs of whole tracks
+(:func:`~poseonly.observations.split_table`), and its residual pass
+(:func:`_residuals`) and normal-equation build
 (:func:`_normal_equations`) go one run at a time. The pass computes each
 pose state once: per track the anchor-pair kernel alone
 (:func:`~poseonly.observations.pair_terms`, no per-row ray), per row the
@@ -36,6 +37,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.spatial.transform import Rotation
 
+from . import observations
 from .errors import ConfigInvalid, DegenerateBase, DivergedNumerically, InsufficientParallax
 from .geometry import CameraPose, cross_rows, skew_batch
 from .observations import (
@@ -53,12 +55,6 @@ from .observations import (
 _LM_LAMBDA0 = 1e-3
 _LM_UP = 10.0
 _LM_DOWN = 10.0
-
-# The residual pass and the normal equations go over runs of whole tracks
-# of at most this many table rows (a longer track is a run of its own),
-# and the reprojection check over chunks of as many observations, so
-# their per-row working set stays bounded at any observation count.
-_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -374,7 +370,7 @@ def _normal_equations(runs, Rs, projections, res, S):
     go through :func:`_run_products` one at a time with their projections
     and slices of ``res``. No track spans two runs, so their X, Jc'Jc and
     J6'r add up to the whole table's, and the block-sparse arrays hold one
-    run of at most ``_CHUNK_ROWS`` rows (more only for a single longer
+    run of at most ``RUN_ROWS`` rows (more only for a single longer
     track). Each run's blocks go straight into the dense G6 (6n x 6n) and
     the per-view diagonal; only G6 = X + X' + Jc'Jc, which gives
     G = S'G6S and grad = S'g6, grows, with the views.
@@ -417,7 +413,7 @@ def pa_optimize(initial_poses, tracks, config: PAConfig | None = None,
         raise InsufficientParallax(
             f"none of {len(tracks)} track(s) carries parallax; nothing to refine"
         )
-    runs = split_table(table, _CHUNK_ROWS)
+    runs = list(split_table(table))
 
     dead = set(degenerate)
     used = [t for t in tracks if t.track_id not in dead]
@@ -503,9 +499,9 @@ def reprojection_stats(poses, points_w, tracks):
         return float("inf"), 0, 0
     owner, V, O = flatten_tracks(scored)
     points = np.stack([np.asarray(points_w[t.track_id], dtype=float) for t in scored])
-    cam = np.empty((len(V), 3))
-    for s in range(0, len(V), _CHUNK_ROWS):  # no (N, 3, 3) gather of the whole input
-        c = slice(s, s + _CHUNK_ROWS)
+    cam, step = np.empty((len(V), 3)), observations.RUN_ROWS
+    for s in range(0, len(V), step):  # no (N, 3, 3) gather of the whole input
+        c = slice(s, s + step)
         np.einsum("nij,nj->ni", Rs[V[c]], points[owner[c]] - Cs[V[c]], out=cam[c])
     z = cam[:, 2]
     ok = z > 0

@@ -4,8 +4,9 @@ A track's position follows in closed form from its poses: each pair
 (anchor-left, i) yields a signed depth of the feature in the anchor-left
 view, the per-pair depths are fused with parallax weights proportional
 to theta (zero-parallax pairs contribute nothing), and the fused depth
-is pushed back along the anchor ray. An independent least-squares
-triangulation is provided purely as a cross-check oracle.
+is pushed back along the anchor ray, one run of the observation table
+at a time. An independent least-squares triangulation is provided
+purely as a cross-check oracle.
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllPairsDegenerate, DegenerateTriangulation, NegativeDepth
-from .geometry import Track, cross_rows, homogenize, skew
-from .observations import BaseViewPair, anchor_table, anchored_terms, build_table, pose_arrays
+from .geometry import THETA_FLOOR, Track, cross_rows, homogenize, skew_batch
+from .observations import (
+    BaseViewPair,
+    anchor_table,
+    anchored_terms,
+    build_table,
+    pose_arrays,
+    split_table,
+)
 
 _REASON_SHORT = "below_min_track_len"
 _REASON_DEGENERATE = "all_pairs_degenerate"
@@ -57,21 +65,28 @@ def _fuse(table, R, C):
     Pair (left, i) has theta_i = |x_i x g| and signed depth
     a_i . T_i / theta_i^2 with a_i = x_i x (x_i x g), in the world frame
     of :func:`anchored_terms`; the theta-weighted mean over the pairs
-    with parallax (:meth:`AnchorTerms.pair_theta`) is a segment sum over
-    each track's rows. A track without such a pair
-    has weight sum 0 and no contributing pairs.
+    with parallax (theta above THETA_FLOOR) is a segment sum over each
+    track's rows, taken one run of whole tracks at a time
+    (:func:`split_table`). A track without such a pair has weight sum 0
+    and no contributing pairs.
     """
-    terms = anchored_terms(table, R, C)
-    weights = terms.pair_theta()
-    usable = weights > 0
-    a = cross_rows(terms.x, terms.W)
-    weighted = np.einsum("ki,ki->k", a, terms.T) / np.where(usable, weights, 1.0)
-    starts = table.row_start[:-1]
-    weight_sum = np.add.reduceat(weights, starts)
-    total = np.add.reduceat(np.where(usable, weighted, 0.0), starts)
-    fused = np.divide(total, weight_sum, out=np.zeros_like(total), where=weight_sum > 0)
-    contributing = np.add.reduceat(usable.astype(int), starts)
-    positions = fused[:, None] * terms.g + C[table.left]
+    n, stop = len(table.left), 0
+    fused, weight_sum, positions = np.zeros(n), np.zeros(n), np.zeros((n, 3))
+    contributing = np.zeros(n, dtype=int)
+    for run in split_table(table):
+        k, starts = slice(stop, stop + len(run.left)), run.row_start[:-1]
+        stop = k.stop
+        terms = anchored_terms(run, R, C)
+        theta = np.linalg.norm(terms.W, axis=1)
+        usable = theta > THETA_FLOOR
+        weights = np.where(usable, theta, 0.0)
+        a = cross_rows(terms.x, terms.W)
+        weighted = np.einsum("ki,ki->k", a, terms.T) / np.where(usable, theta, 1.0)
+        weight_sum[k] = np.add.reduceat(weights, starts)
+        total = np.add.reduceat(np.where(usable, weighted, 0.0), starts)
+        np.divide(total, weight_sum[k], out=fused[k], where=weight_sum[k] > 0)
+        contributing[k] = np.add.reduceat(usable.astype(int), starts)
+        positions[k] = fused[k, None] * terms.g + C[run.left]
     return fused, weight_sum, contributing, positions
 
 
@@ -143,7 +158,7 @@ def triangulate_dlt(track: Track, poses) -> np.ndarray:
     rhs = []
     for view, xy in zip(track.view_ids, track.points):
         pose = poses[view]
-        K = skew(homogenize(xy)) @ pose.rotation
+        K = skew_batch(homogenize(xy)) @ pose.rotation
         rows.append(K)
         rhs.append(K @ pose.center)
     A = np.vstack(rows)

@@ -19,12 +19,12 @@ zero) is the global translation, up to sign and scale. The formulation
 needs no relative translations, which is what keeps it well-posed under
 collinear motion and under views that only rotate in place.
 
-The system keeps the observation table and the kernel's terms over it,
-not the blocks. The null vector and the spectrum come from them without
-building the tall reduced matrix: from an eigensolve of its Gram matrix
-(:func:`_block_gram`), accumulated a chunk of blocks at a time, whatever
-the system's size (:func:`_spectrum`). The rank test floors singular
-values at that eigensolve's resolution, sqrt(cols * eps) of the largest.
+The system keeps the observation table and per-track terms, no block
+and no per-row term. The null vector and the spectrum come from an
+eigensolve of the reduced matrix's Gram (:func:`_block_gram`), summed
+from the per-row kernel one run of the table at a time, whatever the
+system's size (:func:`_spectrum`). The rank test floors singular values
+at that eigensolve's resolution, sqrt(cols * eps) of the largest.
 """
 
 from dataclasses import dataclass
@@ -35,23 +35,23 @@ import scipy.sparse as sp
 from .errors import InsufficientParallax, RankDeficient
 from .geometry import cross_rows, skew_batch
 from .observations import (  # noqa: F401  BaseViewPair, select_base_views: re-exported
-    AnchorTerms,
     BaseViewPair,
     ObservationTable,
+    PairTerms,
     anchor_table,
     anchored_terms,
     base_pairs,
+    pair_terms,
     select_base_views,
+    split_table,
 )
-
-_MATRIX_CHUNK = 1 << 13  # rows scattered at once by _block_gram
 
 # sigma_2 / sigma_1 below this means the null space is not unique.
 # Exact-data gaps read sigma_2 over the eigensolve's floor, mostly
 # 1e4-1e7 on the simulator's scenes (a 60-view scene of 2 points read
-# 452), and genuinely ambiguous systems sit near 1; healthy systems under
-# 1e-3 observation noise measure gaps of roughly 30-100, so the refusal
-# threshold must stay below that band.
+# 452), and genuinely ambiguous systems sit near 1; under 1e-3 observation
+# noise healthy systems measure 55-89 at 20 views x 200 points and 23-38
+# at 100 x 1000, so the refusal threshold must stay below that band.
 RANK_RATIO_MIN = 10.0
 
 
@@ -77,8 +77,8 @@ class TranslationSystem:
     Block k holds 3 rows touching the anchor-right view (``B[k]``), the
     observing view (``C[k]``) and the anchor-left view (``D = -(B + C)``),
     one block per row of ``table``, in its (track_id, row_view) order;
-    ``B = W a'`` and ``C = theta^2 [x]x`` are built from ``terms`` on
-    demand. When the observing ray is parallel to the anchor-left ray, B
+    ``B = W a'`` and ``C = theta^2 [x]x`` come from the per-row kernel on
+    each access. When the observing ray is parallel to the anchor-left ray, B
     vanishes but C does not (C carries the anchor pair's theta^2, not the
     row's own parallax); the surviving C (t_i - t_left) = 0 content is
     what pins a camera that only rotates in place to its co-located
@@ -90,7 +90,7 @@ class TranslationSystem:
     reference_view: int
     rotations: np.ndarray
     table: ObservationTable  # anchor_table's, of the tracks with parallax
-    terms: AnchorTerms  # anchored_terms(table, rotations)
+    terms: PairTerms  # pair_terms(table, rotations): per track, no centers
 
     # Per block: its observing, anchor-left and anchor-right view.
     row_views = property(lambda self: self.table.row_view)
@@ -104,8 +104,8 @@ class TranslationSystem:
         return base_pairs(table.track_ids, table.left, table.right, np.sqrt(self.terms.theta_sq))
 
     def _blocks(self):
-        """B and C, (m, 3, 3) each."""
-        track, terms = self.table.row_track, self.terms
+        """B and C, (m, 3, 3) each, from the kernel over the whole table."""
+        track, terms = self.table.row_track, anchored_terms(self.table, self.rotations)
         B = terms.W[:, :, None] * terms.a[track][:, None, :]
         return B, terms.theta_sq[track][:, None, None] * skew_batch(terms.x)
 
@@ -135,7 +135,8 @@ class TranslationSystem:
         the matrix is left non-canonical and sparse ops sum them.
         """
         views = np.stack((self.rights, self.row_views, self.lefts), axis=1)  # (m, 3)
-        data = np.stack((self.B, self.C, -(self.B + self.C)), axis=2)  # (m, row, view, col)
+        B, C = self._blocks()
+        data = np.stack((B, C, -(B + C)), axis=2)  # (m, row, view, col)
         first = 3 * views.astype(np.int32)[:, None, :, None] + np.arange(3, dtype=np.int32)
         indices = np.broadcast_to(first, data.shape).reshape(-1)
         indptr = np.arange(0, len(indices) + 1, 9)
@@ -157,10 +158,10 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
     """Assemble the homogeneous system over stacked camera centers.
 
     The selection pass builds the observation table with every track's
-    anchors, and every track's rows come from one pass of the
-    anchored-depth kernel over it (:mod:`poseonly.observations`), all in
-    the world frame:
-    ``B = (x_i x g) a'`` and ``C = theta^2 [x_i]x``.
+    anchors, and the system keeps it with the per-track anchor-pair terms
+    (:mod:`poseonly.observations`); the rows
+    ``B = (x_i x g) a'`` and ``C = theta^2 [x_i]x``, in the world frame,
+    are the per-row kernel's, which the solve runs one run at a time.
 
     Tracks whose every pair is parallax-free are dropped; at least two
     usable tracks are required (a globally rotating-in-place camera set
@@ -179,43 +180,40 @@ def assemble_system(tracks: list, rotations: np.ndarray, reference_view: int) ->
             f"only {len(table.track_ids)} track(s) carry parallax; need at least 2"
         )
     return TranslationSystem(n_views, reference_view, rotations, table,
-                             anchored_terms(table, rotations))
+                             pair_terms(table, rotations))
 
 
 def _block_gram(system: TranslationSystem) -> np.ndarray:
     """Gram matrix ``R' R`` of the reduced constraint matrix R, accumulated
-    straight from the blocks' terms a chunk of rows at a time; neither R
-    nor the 3x3 blocks are built.
+    straight from the kernel's terms one run of whole tracks at a time
+    (:func:`~poseonly.observations.split_table`); neither R nor the 3x3
+    blocks are built.
 
     With ``P = B'B``, ``Q = B'C`` and ``S = C'C`` a block adds ``P``,
     ``Q``, ``-(P + Q)``, ``S``, ``-(Q' + S)`` and ``P + Q + Q' + S`` to the
     (right, right), (right, row), (right, left), (row, row), (row, left)
     and (left, left) view blocks, and their transposes to the mirrored
     blocks; D = -(B + C) is never multiplied. The products have closed
-    forms in the stored terms: ``P = |W|^2 a a'``, ``Q = a u'`` with
+    forms in the kernel's terms: ``P = |W|^2 a a'``, ``Q = a u'`` with
     ``u = theta^2 (W x x)`` and ``S = theta^4 (|x|^2 I - x x')``. Only one
     half of each symmetric pair is scattered (diagonal terms at 1/2), one
     entry of the 3x3 blocks at a time, and the Gram matrix is that half
     plus its transpose. The three terms keyed by (right, left) alone are
-    first summed over each run of rows of one track.
+    first summed over each track's rows.
     """
-    n, table, terms = system.n_views, system.table, system.terms
-    # Both are gathers on every access: read once, not per chunk.
-    row_track, row_view = table.row_track, table.row_view
+    n = system.n_views
     half = np.zeros((9, n * n))
-    for lo in range(0, len(row_track), _MATRIX_CHUNK):
-        rows = slice(lo, lo + _MATRIX_CHUNK)
-        track = row_track[rows]
-        starts = np.flatnonzero(np.concatenate(([True], track[1:] != track[:-1])))
-        theta_sq, a = terms.theta_sq[track], terms.a[track]
-        x, W = terms.x[rows], terms.W[rows]
+    for run in split_table(system.table):
+        terms = anchored_terms(run, system.rotations)
+        track, starts = run.row_track, run.row_start[:-1]
+        theta_sq, a, x, W = terms.theta_sq[track], terms.a[track], terms.x, terms.W
         u = theta_sq[:, None] * cross_rows(W, x)
         theta_4, x_sq = theta_sq * theta_sq, np.einsum("ki,ki->k", x, x)
         W_sq_k = np.add.reduceat(np.einsum("ki,ki->k", W, W), starts)
-        a_k, u_k = a[starts].T.copy(), np.add.reduceat(u, starts).T.copy()
+        a_k, u_k = terms.a.T.copy(), np.add.reduceat(u, starts).T.copy()
         a, u, x = a.T.copy(), u.T.copy(), x.T.copy()
-        right, row, left = table.right[track], row_view[rows], table.left[track]
-        r, l = right[starts], left[starts]
+        right, row, left = run.right[track], run.row_view, run.left[track]
+        r, l = run.right, run.left
         keys = np.concatenate(
             (r * n + r, r * n + l, l * n + l, right * n + row, row * n + row, row * n + left)
         )

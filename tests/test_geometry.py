@@ -8,7 +8,7 @@ from poseonly.geometry import (
     pair_geometry,
     rotation_about,
     rotation_geodesic_deg,
-    skew,
+    skew_batch,
 )
 
 from poseonly.problem_io import quat_to_rotation, rotation_to_quat
@@ -221,9 +221,11 @@ class TestTypes:
 
     def test_skew_matches_cross(self):
         rng = make_rng(3)
-        for _ in range(20):
-            a, b = np.random.default_rng(3).random(3), np.random.default_rng(4).random(3)
-            assert np.allclose(skew(a) @ b, np.cross(a, b))
+        a, b = rng.random((20, 3)), rng.random((20, 3))
+        assert np.allclose((skew_batch(a) @ b[:, :, None])[:, :, 0], np.cross(a, b))
+        for u, v in zip(a, b):  # a single (3,) vector gives one 3x3 matrix
+            assert skew_batch(u).shape == (3, 3)
+            assert np.allclose(skew_batch(u) @ v, np.cross(u, v))
 
 
 class TestGeodesic:

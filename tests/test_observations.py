@@ -81,7 +81,7 @@ class TestTable:
             tracks.append(po.Track(track.track_id, track.view_ids[keep], track.points[keep]))
         table, _ = anchor_table(tracks, prob.rotations)
         terms = anchored_terms(table, prob.rotations, prob.gt_centers())
-        runs = split_table(table, max_rows)
+        runs = list(split_table(table, max_rows))
 
         # Consecutive runs of whole tracks cover every track and row once.
         track_cuts = np.cumsum([0] + [len(run.left) for run in runs]).tolist()
@@ -120,7 +120,7 @@ class TestTable:
                 assert np.array_equal(getattr(own, name), getattr(terms, name)[t0:t1])
 
     def test_split_of_an_empty_table_has_no_runs(self):
-        assert split_table(anchor_table([], np.eye(3)[None])[0], 10) == []
+        assert list(split_table(anchor_table([], np.eye(3)[None])[0], 10)) == []
 
 
 class TestKernelAgainstPairOracle:

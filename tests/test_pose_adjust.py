@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import poseonly as po
-from poseonly import pose_adjust
+from poseonly import observations, pose_adjust
 from poseonly.errors import (
     ConfigInvalid,
     DegenerateBase,
@@ -167,7 +167,7 @@ class TestResiduals:
         # beside a kept one), and 2^40 holds all.
         table = build_table(tracks, bases, Rs)
         for max_rows in (1, 11, 1 << 40):
-            runs = split_table(table, max_rows)
+            runs = list(split_table(table, max_rows))
             assert len(runs) == {1: 12, 11: 6, 1 << 40: 1}[max_rows]
             res_runs, dropped_runs, terms = _residuals(runs, Rs, Cs, "drop")
             assert np.array_equal(res_runs, res) and dropped_runs == dropped
@@ -180,7 +180,7 @@ class TestResiduals:
         # pa_optimize's initial cost is the same sum at every run size.
         costs = []
         for max_rows in (1, 11, 1 << 40):
-            monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", max_rows)
+            monkeypatch.setattr(observations, "RUN_ROWS", max_rows)
             _, report = po.pa_optimize(poses, prob.tracks, PAConfig(max_iter=0))
             costs.append(report.initial_cost)
         res, _ = pa_residuals(poses, prob.tracks, bases_for(prob))
@@ -194,7 +194,7 @@ class TestResiduals:
             po.SceneConfig(n_views=12, n_points=80, seed=19, obs_noise_sigma=1e-3)
         )
         Rs, Cs = pose_arrays(linear_poses(prob))
-        runs = split_table(anchor_table(prob.tracks, Rs)[0], 200)
+        runs = list(split_table(anchor_table(prob.tracks, Rs)[0], 200))
         assert len(runs) > 1
         res, _, projections = _residuals(runs, Rs, Cs, "drop")
         assert res.nbytes == 16 * sum(len(run.rows) for run in runs)
@@ -221,8 +221,7 @@ class TestResiduals:
                 po.SceneConfig(n_views=20, n_points=n_points, seed=43, obs_noise_sigma=1e-3)
             )
             Rs, Cs = pose_arrays(prob.gt_poses)
-            runs = split_table(anchor_table(prob.tracks, prob.rotations)[0],
-                               pose_adjust._CHUNK_ROWS)
+            runs = list(split_table(anchor_table(prob.tracks, prob.rotations)[0]))
             tracemalloc.start()
             try:
                 held = _residuals(runs, Rs, Cs, "drop")
@@ -292,7 +291,7 @@ def normal_equations_and_oracle(poses, tracks, bases, param):
     """(G, grad) as pa_optimize forms them, and (J'J, J'r) from the
     pa_jacobian oracle, at the same poses."""
     Rs, Cs = pose_arrays(poses)
-    runs = split_table(build_table(tracks, bases, Rs), pose_adjust._CHUNK_ROWS)
+    runs = list(split_table(build_table(tracks, bases, Rs)))
     res, _, terms = _residuals(runs, Rs, Cs, "drop")
     G, grad = _normal_equations(runs, Rs, terms, res, param.matrix(Cs))
     J = pa_jacobian(poses, tracks, bases, param)
@@ -315,8 +314,8 @@ class TestNormalEquations:
         a shorter last run; runs of 1 row leave every track alone. Both
         match the oracle and the one-run build."""
         table = build_table(tracks, bases, pose_arrays(poses)[0])
-        monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", 1 << 40)
-        assert len(split_table(table, pose_adjust._CHUNK_ROWS)) == 1
+        monkeypatch.setattr(observations, "RUN_ROWS", 1 << 40)
+        assert len(list(split_table(table))) == 1
         G_one, grad_one, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
         for max_rows in (several, 1):
             per_run = [len(run.left) for run in split_table(table, max_rows)]
@@ -324,7 +323,7 @@ class TestNormalEquations:
                 assert per_run == [1] * len(table.left)
             else:
                 assert min(per_run[:-1]) > 1 and per_run[-1] < max(per_run)
-            monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", max_rows)
+            monkeypatch.setattr(observations, "RUN_ROWS", max_rows)
             self.assert_matches_oracle(poses, tracks, bases, param)
             G, grad, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
             assert np.max(np.abs(G - G_one)) <= 1e-13 * np.max(np.abs(G_one))
@@ -377,7 +376,7 @@ class TestNormalEquations:
             )
             Rs, Cs = pose_arrays(prob.gt_poses)
             table, _ = anchor_table(prob.tracks, prob.rotations)
-            runs = split_table(table, pose_adjust._CHUNK_ROWS)
+            runs = list(split_table(table))
             res, _, terms = _residuals(runs, Rs, Cs, "drop")
             S = default_param(prob).matrix(Cs)
             tracemalloc.start()
@@ -600,7 +599,7 @@ class TestOptimize:
         config = PAConfig(max_iter=3, gradient_tol=0.0, step_tol=0.0)
         results = []
         for max_rows in (1 << 40, 1):
-            monkeypatch.setattr(pose_adjust, "_CHUNK_ROWS", max_rows)
+            monkeypatch.setattr(observations, "RUN_ROWS", max_rows)
             poses, report = po.pa_optimize(init, prob.tracks, config, reference_view=0)
             results.append((pose_arrays(poses), report.iterations))
         ((Rs_a, Cs_a), iterations_a), ((Rs_b, Cs_b), iterations_b) = results

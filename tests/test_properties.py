@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import poseonly as po
+from poseonly import observations
 from poseonly.cli import run_cli
 from poseonly.errors import DivergedNumerically, InsufficientParallax
 from poseonly.observations import anchor_table, base_pairs
@@ -181,15 +182,20 @@ def test_single_token_mutation_never_raises(scene_files, data):
     data=st.data(),
 )
 def test_block_gram_matches_csr_gram(motion, n_views, n_points, seed, sigma, data):
+    # The Gram is summed over runs of whole tracks of a drawn size: one
+    # track each (1 row), a few, or the whole table in one.
     prob = po.generate_scene(po.SceneConfig(
         n_views=n_views, n_points=n_points, motion=motion, seed=seed, obs_noise_sigma=sigma
     ))
     reference = data.draw(st.integers(0, n_views - 1))
+    run_rows = data.draw(st.integers(1, 40) | st.just(1 << 40))
     try:
         system = po.assemble_system(prob.tracks, prob.rotations, reference)
     except InsufficientParallax:
         hypothesis.assume(False)
-    assert_block_gram_matches(system)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observations, "RUN_ROWS", run_rows)
+        assert_block_gram_matches(system)
 
 
 @settings(max_examples=40)

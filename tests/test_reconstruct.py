@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import poseonly as po
+from poseonly import observations
 from poseonly.errors import AllPairsDegenerate, DegenerateTriangulation, NegativeDepth
+from poseonly.observations import anchor_table, pose_arrays, split_table
+from poseonly.reconstruct import _fuse
 from poseonly.simulate import look_at_rotation
 
 from conftest import exact_generic_scene, make_rng
@@ -101,6 +106,55 @@ class TestReconstructAll:
         assert len(result.points) == len(tracks) - 1
         for rec in result.points:
             assert np.allclose(rec.position_w, prob.gt_points[rec.track_id], atol=1e-8)
+
+    def test_independent_of_runs(self, monkeypatch):
+        # Runs of 1 row hold one track each, runs of 23 rows four tracks
+        # of 5 rows, and 2^40 rows the whole table: the points and the
+        # rejections are the same bits at every run size.
+        prob = po.generate_scene(
+            po.SceneConfig(n_views=6, n_points=40, motion="local_pure_rotation", seed=51)
+        )
+        first = prob.tracks[0]
+        noisy = po.add_observation_noise(prob, 1e-3, 51)
+        tracks = [po.Track(first.track_id, first.view_ids[:2], first.points[:2])]
+        tracks += noisy.tracks[1:]
+        table, _ = anchor_table(tracks, prob.rotations)
+        results = []
+        for run_rows in (1, 23, 1 << 40):
+            monkeypatch.setattr(observations, "RUN_ROWS", run_rows)
+            per_run = [len(run.left) for run in split_table(table)]
+            assert max(per_run) == {1: 1, 23: 4, 1 << 40: len(table.left)}[run_rows]
+            result = po.reconstruct_all(tracks, prob.gt_poses)
+            results.append((result.rejected, [
+                (p.track_id, p.position_w.tolist(), p.fused_depth, p.weight_sum,
+                 p.contributing_views) for p in result.points
+            ]))
+        assert results[0][0] == [(first.track_id, "all_pairs_degenerate")]
+        assert results[0] == results[1] == results[2]
+
+    def test_fuse_memory_independent_of_observation_count(self, monkeypatch):
+        # 4,400 and 8,800 rows in runs of 1,000: what the fusion after
+        # selection allocates and frees again is one run's, so twice the
+        # rows may not cost 1.5 times the transient memory. What it
+        # returns is per track, held, and grows with the tracks.
+        monkeypatch.setattr(observations, "RUN_ROWS", 1000)
+        transient = []
+        for n_points in (400, 800):
+            prob = po.generate_scene(
+                po.SceneConfig(n_views=12, n_points=n_points, seed=44, obs_noise_sigma=1e-3)
+            )
+            R, C = pose_arrays(prob.gt_poses)
+            table, _ = anchor_table(prob.tracks, R)
+            assert len(table.rows) == 11 * n_points
+            tracemalloc.start()
+            try:
+                held = _fuse(table, R, C)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del held
+            transient.append(peak - current)
+        assert transient[1] < 1.5 * transient[0], transient
 
     def test_empty_input(self, scene_s1):
         result = po.reconstruct_all([], scene_s1.gt_poses)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import poseonly as po
 from poseonly.errors import AllPairsDegenerate, InsufficientParallax, RankDeficient
 from poseonly import observations, translation_solver
 from poseonly.evaluate import report_lines
-from poseonly.geometry import skew
-from poseonly.observations import anchor_table, anchored_terms
+from poseonly.geometry import skew_batch
+from poseonly.observations import anchor_table, anchored_terms, pair_terms, split_table
 from poseonly.translation_solver import disambiguate_sign
 
 from conftest import exact_generic_scene, gram_identity_pairs, make_rng, solve_problem_centers
@@ -75,25 +76,31 @@ class TestRowBlocks:
         assert len(B) == len(C) == len(table.rows)
         for k, track in enumerate(table.row_track.tolist()):
             assert np.array_equal(B[k], np.outer(terms.W[k], terms.a[track]))
-            assert np.array_equal(C[k], terms.theta_sq[track] * skew(terms.x[k]))
+            assert np.array_equal(C[k], terms.theta_sq[track] * skew_batch(terms.x[k]))
 
     def test_system_stores_no_blocks(self):
         # Neither the system nor the table and terms it holds keep an
-        # (m, 3, 3) array.
+        # (m, 3, 3) array, and the terms hold no per-row float array: the
+        # only arrays of one entry per row are the table's indices.
         prob = exact_generic_scene(70)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
-        blocks = (len(system.row_views), 3, 3)
+        rows = len(system.row_views)
+        assert rows > len(system.table.left)
         for owner in (system, system.table, system.terms):
             for field in dataclasses.fields(owner):
-                assert np.shape(getattr(owner, field.name)) != blocks, field.name
+                value = getattr(owner, field.name)
+                assert np.shape(value) != (rows, 3, 3), field.name
+                if isinstance(value, np.ndarray) and len(value) == rows:
+                    assert value.dtype.kind == "i", field.name
 
     def test_system_holds_table_and_terms(self):
-        # The system keeps what anchor_table and anchored_terms return for
-        # its tracks and rotations, field by field.
+        # The system keeps what anchor_table and pair_terms (no centers)
+        # return for its tracks and rotations, field by field.
         prob = po.add_observation_noise(exact_generic_scene(71), 1e-3, 71)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
         table, _ = anchor_table(prob.tracks, prob.rotations)
-        terms = anchored_terms(table, prob.rotations)
+        terms = pair_terms(table, prob.rotations)
+        assert terms.T_right is None and terms.depth is None
         for held, fresh in ((system.table, table), (system.terms, terms)):
             for field in dataclasses.fields(fresh):
                 name = field.name
@@ -196,7 +203,8 @@ class TestAssembly:
 
 
 def assert_block_gram_matches(system):
-    """The chunked block Gram equals R'R of the reduced CSR matrix R."""
+    """The block Gram, summed over runs of whole tracks, equals R'R of the
+    reduced CSR matrix R."""
     R = system.reduced_matrix()
     expected = (R.T @ R).toarray()
     gram = translation_solver._block_gram(system)
@@ -236,22 +244,45 @@ class TestBlockGram:
         prob, reference = self.CASES[case]()
         assert_block_gram_matches(po.assemble_system(prob.tracks, prob.rotations, reference))
 
-    def test_runs_split_across_chunks(self, monkeypatch):
-        # Chunks of 11 blocks cut through tracks, so one track's
-        # (right, left) run is summed in pieces.
+    def test_one_track_per_run(self, monkeypatch):
+        # Runs of 1 row hold one track each, so every track's (right,
+        # left) terms are summed in a run of their own.
         prob = partial_track_problem(65)
         system = po.assemble_system(prob.tracks, prob.rotations, 3)
-        monkeypatch.setattr(translation_solver, "_MATRIX_CHUNK", 11)
+        monkeypatch.setattr(observations, "RUN_ROWS", 1)
+        assert len(list(split_table(system.table))) == len(system.table.left)
         assert_block_gram_matches(system)
 
+    def test_gram_memory_independent_of_observation_count(self, monkeypatch):
+        # 4,400 and 8,800 rows in runs of 1,000: the Gram's working set
+        # beside its (3n - 3)^2 result is one run's, so twice the rows may
+        # not cost 1.5 times the transient memory.
+        monkeypatch.setattr(observations, "RUN_ROWS", 1000)
+        transient = []
+        for n_points in (400, 800):
+            prob = po.generate_scene(
+                po.SceneConfig(n_views=12, n_points=n_points, seed=45, obs_noise_sigma=1e-3)
+            )
+            system = po.assemble_system(prob.tracks, prob.rotations, 0)
+            assert len(system.row_views) == 11 * n_points
+            tracemalloc.start()
+            try:
+                held = translation_solver._block_gram(system)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del held
+            transient.append(peak - current)
+        assert transient[1] < 1.5 * transient[0], transient
+
     def test_eval_report_unchanged_from_stored_blocks(self, monkeypatch):
-        # evaluate_poses, whose solve reads the block terms a chunk at a
+        # evaluate_poses, whose solve reads the block terms a run at a
         # time, gives the very report it gives when the anchors come from
         # the Gram identity in place of the (K, 6) product.
         prob = po.generate_scene(
             po.SceneConfig(n_views=12, n_points=60, seed=71, obs_noise_sigma=1e-3)
         )
-        monkeypatch.setattr(translation_solver, "_MATRIX_CHUNK", 100)
+        monkeypatch.setattr(observations, "RUN_ROWS", 100)
         centers = solve_problem_centers(prob)
         poses = [po.CameraPose(R, c) for R, c in zip(prob.rotations, centers)]
         compact = report_lines(po.evaluate_poses(prob, poses))
@@ -285,7 +316,7 @@ class TestBlockGram:
         # A row with W = 0 has B = 0 but still adds its C's terms.
         tracks, rotations = gluing_scene()
         system = po.assemble_system(tracks, rotations, 0)
-        assert np.any(np.all(system.terms.W == 0, axis=1))
+        assert np.any(np.all(anchored_terms(system.table, rotations).W == 0, axis=1))
         assert_block_gram_matches(system)
 
     def test_solve_path_builds_no_matrix(self, monkeypatch):
