@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ def random_exact_pair(rng):
 def solve_problem_centers(problem):
     system = po.assemble_system(problem.tracks, problem.rotations, problem.reference_view)
     return po.solve_translations(system).translations
+
+
+def transient_bytes(call):
+    """What ``call()`` allocates and frees again before it returns:
+    tracemalloc's peak during the call less what its result still holds."""
+    tracemalloc.start()
+    try:
+        held = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del held
+    return peak - current
 
 
 def gram_identity_pairs(g):

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from poseonly.observations import (
     split_table,
 )
 
-from conftest import gram_identity_pairs, make_rng
+from conftest import gram_identity_pairs, make_rng, transient_bytes
 
 
 def noisy_scene(seed, n_views=6, n_points=12):
@@ -310,14 +309,9 @@ class TestBatchedSelection:
         # stack (72 B) and no per-group copies of the input.
         prob = po.generate_scene(po.SceneConfig(n_views=20, n_points=4000, seed=5))
         observed = sum(len(t) for t in prob.tracks)
-        tracemalloc.start()
-        try:
-            held = anchor_table(prob.tracks, prob.rotations)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        del held
-        assert (peak - current) / observed <= 64, (peak - current) / observed
+        transient = transient_bytes(lambda: anchor_table(prob.tracks, prob.rotations))
+        per_observation = transient / observed
+        assert per_observation <= 64, per_observation
 
     @pytest.mark.parametrize("length", range(2, 13))
     def test_matches_gram_identity(self, length):

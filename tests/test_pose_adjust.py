@@ -32,7 +32,7 @@ from poseonly.pose_adjust import (
     select_anchor_view,
 )
 
-from conftest import make_rng
+from conftest import make_rng, transient_bytes
 
 
 def bases_for(problem):
@@ -222,14 +222,7 @@ class TestResiduals:
             )
             Rs, Cs = pose_arrays(prob.gt_poses)
             runs = list(split_table(anchor_table(prob.tracks, prob.rotations)[0]))
-            tracemalloc.start()
-            try:
-                held = _residuals(runs, Rs, Cs, "drop")
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            del held
-            transient.append(peak - current)
+            transient.append(transient_bytes(lambda: _residuals(runs, Rs, Cs, "drop")))
         assert transient[1] < 1.5 * transient[0], transient
 
 

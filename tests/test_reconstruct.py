@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from poseonly.observations import anchor_table, pose_arrays, split_table
 from poseonly.reconstruct import _fuse
 from poseonly.simulate import look_at_rotation
 
-from conftest import exact_generic_scene, make_rng
+from conftest import exact_generic_scene, make_rng, transient_bytes
 
 
 def random_track_scene(rng, n_views=4):
@@ -146,14 +144,7 @@ class TestReconstructAll:
             R, C = pose_arrays(prob.gt_poses)
             table, _ = anchor_table(prob.tracks, R)
             assert len(table.rows) == 11 * n_points
-            tracemalloc.start()
-            try:
-                held = _fuse(table, R, C)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            del held
-            transient.append(peak - current)
+            transient.append(transient_bytes(lambda: _fuse(table, R, C)))
         assert transient[1] < 1.5 * transient[0], transient
 
     def test_empty_input(self, scene_s1):

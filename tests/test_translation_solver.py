@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,13 @@ from poseonly.geometry import skew_batch
 from poseonly.observations import anchor_table, anchored_terms, pair_terms, split_table
 from poseonly.translation_solver import disambiguate_sign
 
-from conftest import exact_generic_scene, gram_identity_pairs, make_rng, solve_problem_centers
+from conftest import (
+    exact_generic_scene,
+    gram_identity_pairs,
+    make_rng,
+    solve_problem_centers,
+    transient_bytes,
+)
 
 
 class TestBaseViewSelection:
@@ -265,14 +270,7 @@ class TestBlockGram:
             )
             system = po.assemble_system(prob.tracks, prob.rotations, 0)
             assert len(system.row_views) == 11 * n_points
-            tracemalloc.start()
-            try:
-                held = translation_solver._block_gram(system)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            del held
-            transient.append(peak - current)
+            transient.append(transient_bytes(lambda: translation_solver._block_gram(system)))
         assert transient[1] < 1.5 * transient[0], transient
 
     def test_eval_report_unchanged_from_stored_blocks(self, monkeypatch):
