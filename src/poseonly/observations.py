@@ -3,13 +3,13 @@
 In the pose-only representation a feature's depth in its anchor-left
 view is a closed-form function of its anchor pair's observed rays and the
 camera poses. The linear translation system, pose-only refinement and
-analytic reconstruction all consume it, so they share one table of the
-anchored tracks' observations, sorted by (track, view), and one batched
-kernel over it. The kernel works in the world frame: with
+analytic reconstruction all consume it, so they share one table and one
+batched kernel over it. The table holds each anchored track's anchor
+pair and its rows, every observation outside its anchor-left view,
+sorted by (track, view). The kernel works in the world frame: with
 ``x_i = R_i' X_i`` the world-frame ray of observation i and ``g`` the
 track's anchor-left ray, the feature sits at ``P = C_left + depth g``
-and every observation i outside the anchor-left view satisfies
-``theta^2 x_i x (P - C_i) = 0``.
+and every row i satisfies ``theta^2 x_i x (P - C_i) = 0``.
 
 The per-track kernel (:func:`pair_terms`) reads only a track's two
 anchor observations: it gives ``g``, the anchor-right ray ``x_r``, the
@@ -27,9 +27,9 @@ time and nothing holds them; only the oracles take the whole table.
 
 This module alone holds the anchor policy. The selection pass
 (:func:`anchor_table`) builds the table: it flattens the tracks once,
-checks their view ids against the rotations and writes each track's
-anchor pair, its observation pair of maximal theta, straight into the
-table's arrays; :func:`build_table` (anchors given) and
+checks their view ids against the rotations, picks each track's anchor
+pair, its observation pair of maximal theta, and gathers the rows with
+one mask; :func:`build_table` (anchors given) and
 :func:`select_base_views` (one track's anchors) are that pass too, so
 every entry point's anchors are checked there. theta at or below
 ``THETA_FLOOR`` is no parallax: such a track is degenerate at selection,
@@ -80,30 +80,19 @@ def flatten_tracks(tracks):
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """Table track k owns observations ``track_start[k]:track_start[k+1]``
-    and rows ``row_start[k]:row_start[k+1]``; a row is an observation
-    outside the track's anchor-left view, in table order."""
+    """The anchored tracks in id order. Track k holds its anchor pair and
+    anchor-left image point; its rows ``row_start[k]:row_start[k+1]`` are
+    its other observations, in view order."""
 
     track_ids: np.ndarray  # (T,) ascending
-    track_start: np.ndarray  # (T+1,)
-    obs_track: np.ndarray  # (N,) table index of the owning track
-    obs_view: np.ndarray  # (N,)
-    obs_xy: np.ndarray  # (N, 2)
     left: np.ndarray  # (T,) anchor-left view
+    left_xy: np.ndarray  # (T, 2) anchor-left image point
     right: np.ndarray  # (T,) anchor-right view
-    theta: np.ndarray  # (T,) anchor theta at selection
-    left_obs: np.ndarray  # (T,) observation index of the anchor-left view
-    rows: np.ndarray  # (N-T,) observation index of every row
-    row_start: np.ndarray  # (T+1,)
     right_row: np.ndarray  # (T,) row index of the anchor-right view
-
-    @property
-    def row_track(self) -> np.ndarray:
-        return self.obs_track[self.rows]
-
-    @property
-    def row_view(self) -> np.ndarray:
-        return self.obs_view[self.rows]
+    row_start: np.ndarray  # (T+1,)
+    row_track: np.ndarray  # (M,) table index of the owning track
+    row_view: np.ndarray  # (M,)
+    row_xy: np.ndarray  # (M, 2)
 
 
 # The max-theta kernel takes tracks in chunks whose K x K theta^2 tables
@@ -172,8 +161,8 @@ def _max_theta_pairs(rays):
 
 def _preset_anchors(bases, ids, preset, obs_track, obs_view, track_start):
     """Positions in their tracks of the anchor-left and anchor-right
-    views, and theta, of the ``preset`` tracks' entries in ``bases``;
-    raises InputError for a pair that is not two of its track's views."""
+    views of the ``preset`` tracks' entries in ``bases``; raises
+    InputError for a pair that is not two of its track's views."""
     at = np.flatnonzero(preset)
     pairs = [bases[tid] for tid in ids[at].tolist()]
     found = []
@@ -189,7 +178,7 @@ def _preset_anchors(bases, ids, preset, obs_track, obs_view, track_start):
         k = bad[0]
         raise InputError(f"track {ids[at[k]]}: anchor pair ({pairs[k].left}, {pairs[k].right}) "
                          f"is not two of its views")
-    return at, *found, [b.theta for b in pairs]
+    return at, *found
 
 
 def anchor_table(tracks, rotations, bases: dict | None = None):
@@ -216,12 +205,12 @@ def anchor_table(tracks, rotations, bases: dict | None = None):
         raise InputError(f"track {ids[obs_track[i]]}: view {obs_view[i]} is not "
                          f"among the {len(rotations)} views")
 
-    p, q, theta = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
+    p, q, theta = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.zeros(n)
     preset = np.zeros(n, dtype=bool)
     if bases:
         preset = np.fromiter((tid in bases for tid in ids.tolist()), dtype=bool, count=n)
         at, *anchors = _preset_anchors(bases, ids, preset, obs_track, obs_view, track_start)
-        p[at], q[at], theta[at] = anchors
+        p[at], q[at] = anchors
     todo = np.flatnonzero(~preset)
     for k in np.unique(lengths[todo]).tolist():
         members = todo[lengths[todo] == k]
@@ -236,30 +225,25 @@ def anchor_table(tracks, rotations, bases: dict | None = None):
 
     keep = preset | (theta > THETA_FLOOR)
     degenerate = given[np.sort(order[~keep])].tolist()
-    if degenerate:
-        kept_obs = np.repeat(keep, lengths)
-        obs_view, obs_xy = obs_view[kept_obs], obs_xy[kept_obs]
-        ids, lengths, p, q, theta = ids[keep], lengths[keep], p[keep], q[keep], theta[keep]
-        n = len(ids)
-        obs_track = np.repeat(np.arange(n), lengths)
-        track_start = np.concatenate(([0], np.cumsum(lengths)))
-    left_obs, right_obs = track_start[:-1] + p, track_start[:-1] + q
-    row_start = track_start - np.arange(n + 1)
-    is_row = np.ones(len(obs_view), dtype=bool)
-    is_row[left_obs] = False
+    # The last group's rays go before the rows are gathered. A row is a
+    # kept track's observation outside its anchor-left view, so the one
+    # mask drops the degenerate tracks too.
+    obs_track = index = rays = None
+    first, p, q = track_start[:-1][keep], p[keep], q[keep]
+    is_row = np.repeat(keep, lengths)
+    is_row[first + p] = False
+    counts = lengths[keep] - 1
+    row_start = np.concatenate(([0], np.cumsum(counts)))
     return ObservationTable(
-        track_ids=ids,
-        track_start=track_start,
-        obs_track=obs_track,
-        obs_view=obs_view,
-        obs_xy=obs_xy,
-        left=obs_view[left_obs],
-        right=obs_view[right_obs],
-        theta=theta,
-        left_obs=left_obs,
-        rows=np.flatnonzero(is_row),
-        row_start=row_start,
+        track_ids=ids[keep],
+        left=obs_view[first + p],
+        left_xy=obs_xy[first + p],
+        right=obs_view[first + q],
         right_row=row_start[:-1] + q - (q > p),
+        row_start=row_start,
+        row_track=np.repeat(np.arange(len(counts)), counts),
+        row_view=obs_view[is_row],
+        row_xy=obs_xy[is_row],
     ), degenerate
 
 
@@ -278,35 +262,32 @@ def select_base_views(track: Track, rotations: np.ndarray) -> BaseViewPair:
         raise AllPairsDegenerate(
             f"track {track.track_id}: no pair's theta exceeds {THETA_FLOOR!r}"
         )
-    return base_pairs(table.track_ids, table.left, table.right, table.theta)[track.track_id]
+    theta = np.sqrt(pair_terms(table, rotations).theta_sq)
+    return base_pairs(table.track_ids, table.left, table.right, theta)[track.track_id]
 
 
-def split_table(table: ObservationTable, max_rows: int | None = None):
+def split_table(table: ObservationTable):
     """Yield the table in consecutive runs of whole tracks of at most
-    ``max_rows`` rows (``RUN_ROWS``, read at the call, when None); a
-    longer track is a run of its own. Each run is a table of its own,
-    made as it is taken, whose index arrays are re-based to it and whose
-    other arrays are views; a run's tracks and rows follow the previous
-    runs', ``len(run.left)`` and ``len(run.rows)`` of them."""
-    max_rows = RUN_ROWS if max_rows is None else max_rows
-    row_start, track_start = table.row_start, table.track_start
+    ``RUN_ROWS`` rows, read at the call; a longer track is a run of its
+    own. Each run is a table of its own, made as it is taken, whose index
+    arrays are re-based to it and whose other arrays are views; a run's
+    tracks and rows follow the previous runs', ``len(run.left)`` and
+    ``len(run.row_view)`` of them."""
+    row_start = table.row_start
     t0 = 0
     while t0 < len(table.left):
-        t1 = max(int(np.searchsorted(row_start, row_start[t0] + max_rows, "right")) - 1, t0 + 1)
-        (o0, o1), (r0, r1) = track_start[[t0, t1]].tolist(), row_start[[t0, t1]].tolist()
+        t1 = max(int(np.searchsorted(row_start, row_start[t0] + RUN_ROWS, "right")) - 1, t0 + 1)
+        r0, r1 = row_start[[t0, t1]].tolist()
         yield ObservationTable(
             track_ids=table.track_ids[t0:t1],
-            track_start=track_start[t0:t1 + 1] - o0,
-            obs_track=table.obs_track[o0:o1] - t0,
-            obs_view=table.obs_view[o0:o1],
-            obs_xy=table.obs_xy[o0:o1],
             left=table.left[t0:t1],
+            left_xy=table.left_xy[t0:t1],
             right=table.right[t0:t1],
-            theta=table.theta[t0:t1],
-            left_obs=table.left_obs[t0:t1] - o0,
-            rows=table.rows[r0:r1] - o0,
-            row_start=row_start[t0:t1 + 1] - r0,
             right_row=table.right_row[t0:t1] - r0,
+            row_start=row_start[t0:t1 + 1] - r0,
+            row_track=table.row_track[r0:r1] - t0,
+            row_view=table.row_view[r0:r1],
+            row_xy=table.row_xy[r0:r1],
         )
         t0 = t1
 
@@ -361,8 +342,8 @@ def pair_terms(table: ObservationTable, rotations, centers=None) -> PairTerms:
     two anchor observations alone: no per-row ray is computed. Without
     centers ``T_right`` and ``depth`` stay None."""
     n = len(table.left)
-    rays = _world_rays(rotations, table.obs_view, table.obs_xy,
-                       np.concatenate((table.left_obs, table.rows[table.right_row])))
+    rays = _world_rays(rotations, np.concatenate((table.left, table.right)),
+                       np.concatenate((table.left_xy, table.row_xy[table.right_row])))
     T_right = None if centers is None else centers[table.left] - centers[table.right]
     return PairTerms(**_pair_fields(rays[:n], rays[n:], T_right))
 
@@ -372,8 +353,8 @@ def anchored_terms(table: ObservationTable, rotations, centers=None) -> AnchorTe
     with ``g`` and, given the camera centers, ``T`` of every row; without
     centers ``T``, ``T_right`` and ``depth`` stay None."""
     row_track = table.row_track
-    x = _world_rays(rotations, table.obs_view, table.obs_xy, table.rows)
-    g = _world_rays(rotations, table.obs_view, table.obs_xy, table.left_obs)
+    x = _world_rays(rotations, table.row_view, table.row_xy)
+    g = _world_rays(rotations, table.left, table.left_xy)
     W = cross_rows(x, g[row_track])
     T = None if centers is None else centers[table.left][row_track] - centers[table.row_view]
     T_right = None if T is None else T[table.right_row]

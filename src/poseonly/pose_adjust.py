@@ -213,7 +213,7 @@ def _residuals(runs, Rs, Cs, on_degenerate):
     anchor-left view skipped), one run at a time; rows of tracks whose
     anchor pair collapsed (:attr:`PairTerms.collapsed`) are zero.
     Returns (residuals, dropped track ids, each run's :class:`_Projection`)."""
-    res = np.empty((sum(len(run.rows) for run in runs), 2))
+    res = np.empty((sum(len(run.row_view) for run in runs), 2))
     dropped, projections = [], []
     stop = 0
     for run in runs:
@@ -223,9 +223,9 @@ def _residuals(runs, Rs, Cs, on_degenerate):
             k = int(np.argmax(degenerate))
             raise DegenerateBase(f"track {run.track_ids[k]}: anchor pair theta^2 "
                                  f"{part.pair.theta_sq[k]!r} collapsed below the floor")
-        start, stop = stop, stop + len(run.rows)
+        start, stop = stop, stop + len(run.row_view)
         with np.errstate(divide="ignore", invalid="ignore"):
-            res[start:stop] = part.Y[:, :2] / part.Y[:, 2:3] - run.obs_xy[run.rows]
+            res[start:stop] = part.Y[:, :2] / part.Y[:, 2:3] - run.row_xy
         res[start:stop][degenerate[run.row_track]] = 0.0
         dropped += run.track_ids[degenerate].tolist()
         projections.append(part)
@@ -337,11 +337,11 @@ def _run_products(table, Rs, part, res):
         J6'J6 = Jc'Jc + W'D + D'W + D'UD,   J6'r = Jc'r + D'(Jp'r),
     where W = Jp'Jc holds one 3x6 block per row (at its track and
     observing view) and U = Jp'Jp one 3x3 block per track. W + UD/2 has
-    one block per observation: a track's rows fill every slot but the
-    anchor-left one, which UD's left block takes, and UD's right block
-    adds to the anchor-right row's. Every block sits where the table
-    puts it. Jc has one block per row at its observing view, so Jc'Jc
-    has one per view, on the diagonal.
+    one block per observation: each track's block row holds the
+    anchor-left slot first, which UD's left block takes, then its rows,
+    and UD's right block adds to the anchor-right row's. Jc has one block
+    per row at its observing view, so Jc'Jc has one per view, on the
+    diagonal.
     """
     Jc, Jp, D = _factors(table, Rs, part)
     PR, track_rows, n = Jp.data, table.row_start[:-1], len(Rs)
@@ -349,11 +349,10 @@ def _run_products(table, Rs, part, res):
     # The center half of PR N is -PR, so W's is -PR'PR: U needs no product.
     U = -np.add.reduceat(W[:, :, 3:], track_rows)
     half_UD = 0.5 * (U[:, None] @ D.data.reshape(-1, 2, 3, 6))
-    E = np.empty((len(table.obs_view), 3, 6))
-    E[table.rows] = W
-    E[table.left_obs] = half_UD[:, 0]
-    E[table.rows[table.right_row]] += half_UD[:, 1]
-    E = sp.bsr_matrix((E, table.obs_view, table.track_start), shape=(3 * len(U), 6 * n))
+    E = np.insert(W, track_rows, half_UD[:, 0], axis=0)
+    E[table.right_row + np.arange(1, len(U) + 1)] += half_UD[:, 1]
+    E = sp.bsr_matrix((E, np.insert(table.row_view, track_rows, table.left),
+                       table.row_start + np.arange(len(U) + 1)), shape=(3 * len(U), 6 * n))
 
     Jc_t, D_t = Jc.T, D.T
     r = res.reshape(-1, 2)
@@ -380,7 +379,7 @@ def _normal_equations(runs, Rs, projections, res, S):
     G6_blocks = G6.reshape(n, 6, n, 6).swapaxes(1, 2)  # [u, v] is the 6x6 block (u, v)
     stop = 0
     for run, part in zip(runs, projections):
-        start, stop = stop, stop + 2 * len(run.rows)
+        start, stop = stop, stop + 2 * len(run.row_view)
         X, JcJc_run, Jr = _run_products(run, Rs, part, res[start:stop])
         # A BSR product holds each block once, as the += below needs.
         G6_blocks[np.repeat(np.arange(n), np.diff(X.indptr)), X.indices] += X.data

@@ -76,9 +76,10 @@ class TranslationSystem:
 
     Block k holds 3 rows touching the anchor-right view (``B[k]``), the
     observing view (``C[k]``) and the anchor-left view (``D = -(B + C)``),
-    one block per row of ``table``, in its (track_id, row_view) order;
-    ``B = W a'`` and ``C = theta^2 [x]x`` come from the per-row kernel on
-    each access. When the observing ray is parallel to the anchor-left ray, B
+    one block per row of ``table`` (an observation outside its track's
+    anchor-left view), in (track_id, view) order; ``B = W a'`` and
+    ``C = theta^2 [x]x`` come from the per-row kernel on each access.
+    When the observing ray is parallel to the anchor-left ray, B
     vanishes but C does not (C carries the anchor pair's theta^2, not the
     row's own parallax); the surviving C (t_i - t_left) = 0 content is
     what pins a camera that only rotates in place to its co-located
@@ -92,7 +93,8 @@ class TranslationSystem:
     table: ObservationTable  # anchor_table's, of the tracks with parallax
     terms: PairTerms  # pair_terms(table, rotations): per track, no centers
 
-    # Per block: its observing, anchor-left and anchor-right view.
+    # Per block: its observing view (the table's), anchor-left and
+    # anchor-right view (gathered through its track on access).
     row_views = property(lambda self: self.table.row_view)
     lefts = property(lambda self: self.table.left[self.table.row_track])
     rights = property(lambda self: self.table.right[self.table.row_track])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import poseonly as po
+from poseonly import observations
 from poseonly.cli import run_cli
 
 
@@ -345,3 +346,21 @@ class TestDeterminism:
         second = invoke(["eval", problem, "--poses", poses])
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_eval_stdout_independent_of_run_size(self, tmp_path, capsys, monkeypatch):
+        # 280 rows: the Gram's sums are grouped by the runs, which moves
+        # sigma_2 in its 10th digit; the report holds only the digits the
+        # eigensolve resolves, so it reads the same at every run size.
+        problem = str(tmp_path / "runs.po")
+        code, _, _ = run(["simulate", "--views", "8", "--points", "40", "--sigma", "1e-3",
+                          "--seed", "1", "-o", problem], capsys)
+        assert code == 0 and run(["solve", problem], capsys)[0] == 0
+        outputs = []
+        for run_rows in (1, 100, 1 << 40):
+            monkeypatch.setattr(observations, "RUN_ROWS", run_rows)
+            code, out, _ = run(
+                ["eval", problem, "--poses", problem.replace(".po", ".poses")], capsys
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]

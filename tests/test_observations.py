@@ -27,6 +27,13 @@ def noisy_scene(seed, n_views=6, n_points=12):
     )
 
 
+def selected_bases(table, rotations) -> dict:
+    """track_id -> BaseViewPair of the table's anchors, theta from the
+    per-track kernel."""
+    theta = np.sqrt(pair_terms(table, rotations).theta_sq)
+    return base_pairs(table.track_ids, table.left, table.right, theta)
+
+
 class TestTable:
     def test_layout(self):
         prob = noisy_scene(1)
@@ -34,27 +41,28 @@ class TestTable:
         assert degenerate == []
         # Drop one track from the anchors and shuffle the input order: the
         # table keeps the anchored tracks only, in id order.
-        bases = base_pairs(selected.track_ids, selected.left, selected.right, selected.theta)
+        bases = selected_bases(selected, prob.rotations)
         del bases[3]
         shuffled = [prob.tracks[k] for k in make_rng(2).permutation(len(prob.tracks))]
         table = build_table(shuffled, bases, prob.rotations)
         kept = [t for t in prob.tracks if t.track_id != 3]
         assert table.track_ids.tolist() == [t.track_id for t in kept]
         for k, track in enumerate(kept):
-            span = slice(table.track_start[k], table.track_start[k + 1])
-            assert np.all(table.obs_track[span] == k)
-            assert np.array_equal(table.obs_view[span], track.view_ids)
-            assert np.array_equal(table.obs_xy[span], track.points)
             base = bases[track.track_id]
-            assert (table.left[k], table.right[k], table.theta[k]) == (
-                base.left, base.right, base.theta
-            )
-            assert table.obs_view[table.left_obs[k]] == base.left
-            rows = table.rows[table.row_start[k]:table.row_start[k + 1]]
-            assert table.obs_view[rows].tolist() == [
-                v for v in track.view_ids.tolist() if v != base.left
-            ]
+            assert (table.left[k], table.right[k]) == (base.left, base.right)
+            assert np.array_equal(table.left_xy[k], track.point_in_view(base.left))
+            rows = slice(table.row_start[k], table.row_start[k + 1])
+            others = track.view_ids != base.left
+            assert np.all(table.row_track[rows] == k)
+            assert np.array_equal(table.row_view[rows], track.view_ids[others])
+            assert np.array_equal(table.row_xy[rows], track.points[others])
             assert table.row_view[table.right_row[k]] == base.right
+        # The table holds rows and tracks, no array of one entry per
+        # observation.
+        observed = sum(len(t) for t in kept)
+        assert len(table.row_view) == observed - len(kept)
+        for field in dataclasses.fields(table):
+            assert len(getattr(table, field.name)) != observed, field.name
 
     def test_missing_anchor_view_rejected(self):
         track = po.Track(0, [0, 1], [[0.1, 0.2], [0.2, 0.1]])
@@ -67,8 +75,8 @@ class TestTable:
         with pytest.raises(InputError, match=r"track 4: anchor pair \(1, 1\) is not two of"):
             anchor_table([track], np.stack([np.eye(3)] * 3), {4: po.BaseViewPair(1, 1, 1.0)})
 
-    @pytest.mark.parametrize("max_rows", [1, 6, 23, 1 << 40])
-    def test_split_rebuilds_the_table(self, max_rows):
+    @pytest.mark.parametrize("run_rows", [1, 6, 23, 1 << 40])
+    def test_split_rebuilds_the_table(self, run_rows, monkeypatch):
         # Tracks of 2 to 8 views, so runs cut after differing track counts
         # and at 6 rows some tracks are longer than a run.
         prob = noisy_scene(4, n_views=8, n_points=40)
@@ -80,34 +88,30 @@ class TestTable:
             tracks.append(po.Track(track.track_id, track.view_ids[keep], track.points[keep]))
         table, _ = anchor_table(tracks, prob.rotations)
         terms = anchored_terms(table, prob.rotations, prob.gt_centers())
-        runs = list(split_table(table, max_rows))
+        monkeypatch.setattr(observations, "RUN_ROWS", run_rows)
+        runs = list(split_table(table))
 
         # Consecutive runs of whole tracks cover every track and row once.
         track_cuts = np.cumsum([0] + [len(run.left) for run in runs]).tolist()
-        row_cuts = np.cumsum([0] + [len(run.rows) for run in runs]).tolist()
+        row_cuts = np.cumsum([0] + [len(run.row_view) for run in runs]).tolist()
         assert track_cuts[-1] == len(table.left)
         assert row_cuts == table.row_start[track_cuts].tolist()
         for run in runs:
-            assert len(run.rows) <= max_rows or len(run.left) == 1
+            assert len(run.row_view) <= run_rows or len(run.left) == 1
 
         # The re-based index arrays rebuild the table's.
-        shift = {"none": [0] * len(runs),
-                 "track": track_cuts[:-1],
-                 "row": row_cuts[:-1],
-                 "obs": table.track_start[track_cuts[:-1]].tolist()}
+        shift = {"none": [0] * len(runs), "track": track_cuts[:-1], "row": row_cuts[:-1]}
 
         def joined(field, offset):
             return np.concatenate([getattr(run, field) + s
                                    for run, s in zip(runs, shift[offset])])
 
-        for field, offset in (("track_ids", "none"), ("obs_view", "none"), ("obs_xy", "none"),
-                              ("left", "none"), ("right", "none"), ("theta", "none"),
-                              ("obs_track", "track"), ("left_obs", "obs"), ("rows", "obs"),
-                              ("right_row", "row")):
+        for field, offset in (("track_ids", "none"), ("left", "none"), ("left_xy", "none"),
+                              ("right", "none"), ("right_row", "row"), ("row_track", "track"),
+                              ("row_view", "none"), ("row_xy", "none")):
             assert np.array_equal(joined(field, offset), getattr(table, field))
-        for field, offset in (("track_start", "obs"), ("row_start", "row")):
-            for run, t0, t1, s in zip(runs, track_cuts, track_cuts[1:], shift[offset]):
-                assert np.array_equal(getattr(run, field) + s, getattr(table, field)[t0:t1 + 1])
+        for run, t0, t1, s in zip(runs, track_cuts, track_cuts[1:], shift["row"]):
+            assert np.array_equal(run.row_start + s, table.row_start[t0:t1 + 1])
 
         # A run's table is a table of its own: the kernel on it gives the
         # run's slice of the whole table's terms.
@@ -119,7 +123,7 @@ class TestTable:
                 assert np.array_equal(getattr(own, name), getattr(terms, name)[t0:t1])
 
     def test_split_of_an_empty_table_has_no_runs(self):
-        assert list(split_table(anchor_table([], np.eye(3)[None])[0], 10)) == []
+        assert list(split_table(anchor_table([], np.eye(3)[None])[0])) == []
 
 
 class TestKernelAgainstPairOracle:
@@ -166,8 +170,11 @@ class TestKernelAgainstPairOracle:
         table, _ = anchor_table(scene_s1.tracks, scene_s1.rotations)
         terms = anchored_terms(table, scene_s1.rotations)
         assert terms.T is None and terms.T_right is None and terms.depth is None
-        # The kernel's theta^2 agrees with the selection's theta.
-        assert np.allclose(terms.theta_sq, table.theta**2, rtol=1e-12)
+        # The kernel's theta^2 is the selection's: the maximal pair theta.
+        poses = [po.CameraPose(R, np.zeros(3)) for R in scene_s1.rotations]
+        for k, track in enumerate(scene_s1.tracks):
+            theta = TestBatchedSelection.oracle(track, poses)[2]
+            assert terms.theta_sq[k] == pytest.approx(theta**2, rel=1e-12)
 
 
 class TestBatchedSelection:
@@ -220,12 +227,13 @@ class TestBatchedSelection:
         preset = {0: po.BaseViewPair(*tracks[0].view_ids[:2].tolist(), 0.5),
                   50: po.BaseViewPair(*tracks[50].view_ids[[-1, 0]].tolist(), 0.0)}
         table, degenerate = anchor_table(tracks, rotations, preset)
-        chosen = base_pairs(table.track_ids, table.left, table.right, table.theta)
+        chosen = selected_bases(table, rotations)
 
         tie, rotation_only = tracks[-2:]
         assert degenerate == [rotation_only.track_id]
         assert (chosen[tie.track_id].left, chosen[tie.track_id].right) == (0, 1)
-        assert chosen[0] == preset[0] and chosen[50] == preset[50]
+        for tid in preset:
+            assert (chosen[tid].left, chosen[tid].right) == (preset[tid].left, preset[tid].right)
         assert set(chosen) == {t.track_id for t in tracks} - {rotation_only.track_id}
         for track in tracks:
             if track.track_id in preset:
@@ -265,29 +273,21 @@ class TestBatchedSelection:
             else:
                 anchored.append((track.track_id, track, p, q, theta))
         anchored.sort(key=lambda entry: entry[0])
-        fields = {name: [] for name in ("obs_track", "left", "right", "theta", "left_obs",
-                                        "rows", "right_row")}
-        obs, rows = [0], [0]
-        for k, (_, track, p, q, theta) in enumerate(anchored):
-            start, length = obs[-1], len(track)
-            fields["obs_track"] += [k] * length
+        fields = {name: [] for name in ("track_ids", "left", "left_xy", "right", "right_row",
+                                        "row_track", "row_view", "row_xy")}
+        rows = [0]
+        for k, (track_id, track, p, q, _) in enumerate(anchored):
+            others = [i for i in range(len(track)) if i != p]
+            fields["track_ids"].append(track_id)
             fields["left"].append(track.view_ids[p])
+            fields["left_xy"].append(track.points[p])
             fields["right"].append(track.view_ids[q])
-            fields["theta"].append(theta)
-            fields["left_obs"].append(start + p)
-            fields["rows"] += [start + i for i in range(length) if i != p]
             fields["right_row"].append(rows[-1] + q - (q > p))
-            obs.append(start + length)
-            rows.append(rows[-1] + length - 1)
-        used = [entry[1] for entry in anchored]
-        return dict(
-            fields,
-            track_ids=[entry[0] for entry in anchored],
-            track_start=obs,
-            row_start=rows,
-            obs_view=np.concatenate([t.view_ids for t in used]),
-            obs_xy=np.concatenate([t.points for t in used]),
-        ), degenerate
+            fields["row_track"] += [k] * len(others)
+            fields["row_view"] += track.view_ids[others].tolist()
+            fields["row_xy"] += track.points[others].tolist()
+            rows.append(rows[-1] + len(others))
+        return dict(fields, row_start=rows), degenerate
 
     @pytest.mark.parametrize("budget", [None, 64])
     @pytest.mark.parametrize("shuffle", [False, True])

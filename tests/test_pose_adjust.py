@@ -19,6 +19,7 @@ from poseonly.observations import (
     anchored_terms,
     base_pairs,
     build_table,
+    pair_terms,
     pose_arrays,
     split_table,
 )
@@ -166,9 +167,10 @@ class TestResiduals:
         # alone, runs of 11 rows hold 2 tracks each (one collapsed track
         # beside a kept one), and 2^40 holds all.
         table = build_table(tracks, bases, Rs)
-        for max_rows in (1, 11, 1 << 40):
-            runs = list(split_table(table, max_rows))
-            assert len(runs) == {1: 12, 11: 6, 1 << 40: 1}[max_rows]
+        for run_rows in (1, 11, 1 << 40):
+            monkeypatch.setattr(observations, "RUN_ROWS", run_rows)
+            runs = list(split_table(table))
+            assert len(runs) == {1: 12, 11: 6, 1 << 40: 1}[run_rows]
             res_runs, dropped_runs, terms = _residuals(runs, Rs, Cs, "drop")
             assert np.array_equal(res_runs, res) and dropped_runs == dropped
             assert len(terms) == len(runs)
@@ -179,14 +181,14 @@ class TestResiduals:
 
         # pa_optimize's initial cost is the same sum at every run size.
         costs = []
-        for max_rows in (1, 11, 1 << 40):
-            monkeypatch.setattr(observations, "RUN_ROWS", max_rows)
+        for run_rows in (1, 11, 1 << 40):
+            monkeypatch.setattr(observations, "RUN_ROWS", run_rows)
             _, report = po.pa_optimize(poses, prob.tracks, PAConfig(max_iter=0))
             costs.append(report.initial_cost)
         res, _ = pa_residuals(poses, prob.tracks, bases_for(prob))
         assert costs == [float(res @ res)] * 3
 
-    def test_held_state_is_lean(self):
+    def test_held_state_is_lean(self, monkeypatch):
         # What the pass keeps of each run for the normal-equation build:
         # per row Q and Y (48 bytes) beside the residual (16), and no
         # world ray x or cross product W of any row.
@@ -194,16 +196,17 @@ class TestResiduals:
             po.SceneConfig(n_views=12, n_points=80, seed=19, obs_noise_sigma=1e-3)
         )
         Rs, Cs = pose_arrays(linear_poses(prob))
-        runs = list(split_table(anchor_table(prob.tracks, Rs)[0], 200))
+        monkeypatch.setattr(observations, "RUN_ROWS", 200)
+        runs = list(split_table(anchor_table(prob.tracks, Rs)[0]))
         assert len(runs) > 1
         res, _, projections = _residuals(runs, Rs, Cs, "drop")
-        assert res.nbytes == 16 * sum(len(run.rows) for run in runs)
+        assert res.nbytes == 16 * sum(len(run.row_view) for run in runs)
         for run, part in zip(runs, projections):
             full = anchored_terms(run, Rs, Cs)
             held = [getattr(owner, field.name)
                     for owner in (part, part.pair) for field in dataclasses.fields(owner)]
             held = [array for array in held if isinstance(array, np.ndarray)]
-            rows, tracks = len(run.rows), len(run.left)
+            rows, tracks = len(run.row_view), len(run.left)
             assert rows > tracks
             for array in held:
                 assert len(array) in (rows, tracks)
@@ -310,13 +313,13 @@ class TestNormalEquations:
         monkeypatch.setattr(observations, "RUN_ROWS", 1 << 40)
         assert len(list(split_table(table))) == 1
         G_one, grad_one, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
-        for max_rows in (several, 1):
-            per_run = [len(run.left) for run in split_table(table, max_rows)]
-            if max_rows == 1:
+        for run_rows in (several, 1):
+            monkeypatch.setattr(observations, "RUN_ROWS", run_rows)
+            per_run = [len(run.left) for run in split_table(table)]
+            if run_rows == 1:
                 assert per_run == [1] * len(table.left)
             else:
                 assert min(per_run[:-1]) > 1 and per_run[-1] < max(per_run)
-            monkeypatch.setattr(observations, "RUN_ROWS", max_rows)
             self.assert_matches_oracle(poses, tracks, bases, param)
             G, grad, _, _ = normal_equations_and_oracle(poses, tracks, bases, param)
             assert np.max(np.abs(G - G_one)) <= 1e-13 * np.max(np.abs(G_one))
@@ -514,7 +517,8 @@ class TestOptimize:
         init = linear_poses(prob)
         Rs, Cs = pose_arrays(init)
         table, _ = anchor_table(prob.tracks, Rs)
-        bases = base_pairs(table.track_ids, table.left, table.right, table.theta)
+        bases = base_pairs(table.track_ids, table.left, table.right,
+                           np.sqrt(pair_terms(table, Rs).theta_sq))
         used = [t for t in prob.tracks if t.track_id in bases]
         anchor = select_anchor_view(used, prob.n_views, 0, Cs)
         param = PoseParameterization(prob.n_views, 0, anchor, True,
@@ -591,8 +595,8 @@ class TestOptimize:
         init = linear_poses(prob)
         config = PAConfig(max_iter=3, gradient_tol=0.0, step_tol=0.0)
         results = []
-        for max_rows in (1 << 40, 1):
-            monkeypatch.setattr(observations, "RUN_ROWS", max_rows)
+        for run_rows in (1 << 40, 1):
+            monkeypatch.setattr(observations, "RUN_ROWS", run_rows)
             poses, report = po.pa_optimize(init, prob.tracks, config, reference_view=0)
             results.append((pose_arrays(poses), report.iterations))
         ((Rs_a, Cs_a), iterations_a), ((Rs_b, Cs_b), iterations_b) = results

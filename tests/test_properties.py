@@ -14,7 +14,7 @@ import poseonly as po
 from poseonly import observations
 from poseonly.cli import run_cli
 from poseonly.errors import DivergedNumerically, InsufficientParallax
-from poseonly.observations import anchor_table, base_pairs
+from poseonly.observations import anchor_table, base_pairs, pair_terms
 from poseonly.problem_io import quat_to_rotation
 from poseonly.simulate import MOTIONS
 
@@ -219,12 +219,13 @@ def test_anchor_table_ignores_track_order_and_chosen_presets(motion, n_views, n_
         tracks.append(po.Track(track.track_id, track.view_ids[keep], track.points[keep]))
     table, degenerate = anchor_table(tracks, prob.rotations)
     shuffled = data.draw(st.permutations(tracks))
-    chosen = base_pairs(table.track_ids, table.left, table.right, table.theta)
+    chosen = base_pairs(table.track_ids, table.left, table.right,
+                        np.sqrt(pair_terms(table, prob.rotations).theta_sq))
     preset = data.draw(st.sets(st.sampled_from(sorted(chosen)))) if chosen else set()
     again, again_degenerate = anchor_table(
         shuffled, prob.rotations, {tid: chosen[tid] for tid in preset}
     )
     assert again_degenerate == [t.track_id for t in shuffled if t.track_id in set(degenerate)]
-    for name in ("track_ids", "track_start", "obs_track", "obs_view", "obs_xy", "left", "right",
-                 "theta", "left_obs", "rows", "row_start", "right_row"):
+    for name in ("track_ids", "left", "left_xy", "right", "right_row", "row_start", "row_track",
+                 "row_view", "row_xy"):
         assert np.array_equal(getattr(again, name), getattr(table, name)), name

@@ -143,7 +143,7 @@ class TestReconstructAll:
             )
             R, C = pose_arrays(prob.gt_poses)
             table, _ = anchor_table(prob.tracks, R)
-            assert len(table.rows) == 11 * n_points
+            assert len(table.row_view) == 11 * n_points
             transient.append(transient_bytes(lambda: _fuse(table, R, C)))
         assert transient[1] < 1.5 * transient[0], transient
 

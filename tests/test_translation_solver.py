@@ -78,15 +78,16 @@ class TestRowBlocks:
         table, _ = anchor_table(prob.tracks, prob.rotations)
         terms = anchored_terms(table, prob.rotations)
         B, C = system.B, system.C
-        assert len(B) == len(C) == len(table.rows)
+        assert len(B) == len(C) == len(table.row_view)
         for k, track in enumerate(table.row_track.tolist()):
             assert np.array_equal(B[k], np.outer(terms.W[k], terms.a[track]))
             assert np.array_equal(C[k], terms.theta_sq[track] * skew_batch(terms.x[k]))
 
     def test_system_stores_no_blocks(self):
         # Neither the system nor the table and terms it holds keep an
-        # (m, 3, 3) array, and the terms hold no per-row float array: the
-        # only arrays of one entry per row are the table's indices.
+        # (m, 3, 3) array, and they hold no per-row float array but the
+        # input points, ``table.row_xy``: the other arrays of one entry per
+        # row are the table's indices.
         prob = exact_generic_scene(70)
         system = po.assemble_system(prob.tracks, prob.rotations, 0)
         rows = len(system.row_views)
@@ -96,7 +97,7 @@ class TestRowBlocks:
                 value = getattr(owner, field.name)
                 assert np.shape(value) != (rows, 3, 3), field.name
                 if isinstance(value, np.ndarray) and len(value) == rows:
-                    assert value.dtype.kind == "i", field.name
+                    assert value.dtype.kind == "i" or value is system.table.row_xy, field.name
 
     def test_system_holds_table_and_terms(self):
         # The system keeps what anchor_table and pair_terms (no centers)
